@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
-from .corpus import BaseVocabulary, Corpus, dau_vocabulary
+from .corpus import BaseVocabulary, Corpus, dau_vocabulary, read_lines
 from .errors import ContractError, ParseError, ValidationError
 
 MERGE_FILE_MAGIC = "unitbpe-v1"
@@ -124,6 +123,13 @@ class MergeTable:
             out.append(surf(m.left) + surf(m.right))
         return tuple(out)
 
+    @cached_property
+    def packed_rules(self) -> tuple[dict[int, tuple[int, int]], int]:
+        """Encoder index: ``(left << shift) | right`` -> (rank, result),
+        plus the shift. Packing pairs into single ints makes dict keys cheap."""
+        shift = max(1, (self.vocab_size - 1).bit_length())
+        return {(m.left << shift) | m.right: (m.rank, m.result) for m in self.merges}, shift
+
     def token_surface(self, token_id: int) -> tuple[int, ...]:
         """Constituent base unit ids of a token, in order."""
         if not 0 <= token_id < self.vocab_size:
@@ -172,29 +178,12 @@ def _blocked_ids(vocabulary: BaseVocabulary, respect_boundaries: bool) -> tuple[
     return blocked, boundary
 
 
-def _chunked_pair_counts(
-    sequences: Sequence[Sequence[int]], blocked: Collection[int], threads: int
-) -> Counter[tuple[int, int]]:
-    # Deterministic reduction: per-chunk counters summed in chunk order.
-    if threads <= 1 or len(sequences) < 2 * threads:
-        return pair_counts(sequences, special=blocked)
-    step = (len(sequences) + threads - 1) // threads
-    chunks = [sequences[i : i + step] for i in range(0, len(sequences), step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda c: pair_counts(c, special=blocked), chunks))
-    total: Counter[tuple[int, int]] = Counter()
-    for part in partials:
-        total.update(part)
-    return total
-
-
 def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable:
     """Learn a MergeTable from a corpus (the fast trainer).
 
     Produces at most target_size - |base| merges, stopping early once the
-    best pair occurs fewer than min_pair_count times. Output is bit
-    identical for any thread count; threads only parallelize the initial
-    pair scan, reduced in a fixed order.
+    best pair occurs fewer than min_pair_count times. Training runs in one
+    thread; ``threads`` must be at least 1 and changes nothing else.
     """
     vocab = corpus.vocabulary
     base_size = len(vocab)
@@ -226,11 +215,6 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
             if a not in blocked and b not in blocked:
                 occ.setdefault((a, b), set()).add(pos + k)
         pos += len(seq)
-    if threads > 1:
-        # Cross-check initial counts against the parallel reduction; the
-        # result is identical by construction, so this is purely a scan.
-        parallel = _chunked_pair_counts([s.units for s in corpus.sequences], blocked, threads)
-        assert all(len(v) == parallel[k] for k, v in occ.items())
 
     # Lazy max-heap of (-count, left, right); stale entries are dropped or
     # refreshed on pop. Counts of existing pairs only ever decrease, and
@@ -369,5 +353,4 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
 
 def load_merge_table(path: str | Path, vocabulary: BaseVocabulary | None = None) -> MergeTable:
     """Read a merge-table file saved by save_merge_table."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_merge_table(text.splitlines(), vocabulary)
+    return parse_merge_table(read_lines(path), vocabulary)

@@ -3,8 +3,10 @@ and synth subcommands composing the library modules.
 
 Exit codes are stable for scripting: 0 on success, 1 on data or validation
 failures (messages name the offending line or id), 2 on usage errors.
-``--input -`` reads stdin, ``--out -`` writes stdout. No subcommand draws
-hidden randomness; generators require an explicit --seed.
+``--input -`` reads stdin, ``--out -`` writes stdout. encode, decode and
+analyze take the boundary label from the merge file, so only train and
+stats accept --boundary/--no-boundary. No subcommand draws hidden
+randomness; generators require an explicit --seed.
 """
 
 from __future__ import annotations
@@ -20,24 +22,26 @@ from . import bpe, codec, metrics, oracle, synth
 from .corpus import (
     DEFAULT_BOUNDARY_LABEL,
     FORMAT_DAU,
-    FORMAT_SYMBOLIC,
     FORMATS,
     BaseVocabulary,
     Corpus,
     corpus_lines,
     corpus_stats,
+    decode_lines,
     load_vocabulary,
     read_corpus,
+    read_lines,
     save_vocabulary,
 )
-from .errors import UnitBpeError
+from .errors import ContractError, UnitBpeError
 
 
 def _read_lines(path: str) -> list[str]:
-    if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    if path != "-":
+        return read_lines(path)
+    # Text-only stand-ins for stdin (io.StringIO) have no byte buffer.
+    buffer = getattr(sys.stdin, "buffer", None)
+    return sys.stdin.read().splitlines() if buffer is None else decode_lines(buffer.read())
 
 
 @contextmanager
@@ -54,16 +58,15 @@ def _write_lines(out: IO[str], lines) -> None:
         out.write(line + "\n")
 
 
-def _add_io_args(p: argparse.ArgumentParser, needs_format: bool = True) -> None:
+def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="input file, or - for stdin")
     p.add_argument("--out", default="-", help="output file, or - for stdout (default)")
-    if needs_format:
-        p.add_argument(
-            "--format",
-            choices=FORMATS,
-            default=FORMAT_DAU,
-            help=f"corpus layout (default {FORMAT_DAU})",
-        )
+    p.add_argument(
+        "--format",
+        choices=FORMATS,
+        default=FORMAT_DAU,
+        help=f"corpus layout (default {FORMAT_DAU})",
+    )
 
 
 def _add_vocab_args(p: argparse.ArgumentParser) -> None:
@@ -80,6 +83,14 @@ def _add_vocab_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--merges", required=True, help="merge-table file from train")
+    p.add_argument("--vocab", help="vocabulary sidecar file; its boundary label is the table's line 3")
+
+
+_THREADS_HELP = "accepted for compatibility; output is identical for any count"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitbpe",
@@ -92,24 +103,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_vocab_args(p)
     p.add_argument("--target-size", type=int, required=True, help="desired merged vocabulary size")
     p.add_argument("--min-pair-count", type=int, default=2, help="stop once the best pair is rarer than this")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (output is identical for any count)")
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--oracle", action="store_true", help="use the slow reference trainer")
     p.add_argument("--save-vocab", help="also write the (possibly inferred) vocabulary sidecar here")
 
     p = sub.add_parser("encode", help="tokenize a corpus with a merge table")
     _add_io_args(p)
-    p.add_argument("--merges", required=True, help="merge-table file from train")
-    p.add_argument("--vocab", help="vocabulary sidecar file")
-    p.add_argument("--boundary", default=DEFAULT_BOUNDARY_LABEL, help="boundary label used with --vocab")
+    _add_table_args(p)
     p.add_argument("--surfaces", action="store_true", help="print unit labels joined by + instead of token ids")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--oracle", action="store_true", help="use the slow reference encoder")
 
     p = sub.add_parser("decode", help="restore unit sequences from token ids")
     _add_io_args(p)
-    p.add_argument("--merges", required=True, help="merge-table file from train")
-    p.add_argument("--vocab", help="vocabulary sidecar file")
-    p.add_argument("--boundary", default=DEFAULT_BOUNDARY_LABEL, help="boundary label used with --vocab")
+    _add_table_args(p)
 
     p = sub.add_parser("stats", help="length and run-length statistics of a corpus")
     _add_io_args(p)
@@ -118,11 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="compression and balance report for a corpus under a table")
     _add_io_args(p)
-    p.add_argument("--merges", required=True, help="merge-table file from train")
-    p.add_argument("--vocab", help="vocabulary sidecar file")
-    p.add_argument("--boundary", default=DEFAULT_BOUNDARY_LABEL, help="boundary label used with --vocab")
+    _add_table_args(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     p = sub.add_parser("tradeoff", help="whole-sequence success probability (1-eps)^n")
     p.add_argument("--eps", type=float, nargs="+", required=True, help="per-token error rate(s)")
@@ -153,35 +158,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _boundary_label(args) -> str | None:
-    if getattr(args, "no_boundary", False):
-        return None
-    return args.boundary
+def _read_corpus(args, vocabulary: BaseVocabulary | None = None) -> Corpus:
+    """The --input corpus. encode and analyze pass the table's base
+    vocabulary; train and stats read --vocab, or infer the vocabulary, with
+    the label that --boundary/--no-boundary select."""
+    label = None
+    if vocabulary is None:
+        label = None if args.no_boundary else args.boundary
+        if args.vocab is not None:
+            vocabulary = load_vocabulary(args.vocab, boundary_label=label)
+    return read_corpus(_read_lines(args.input), args.format, vocabulary, boundary_label=label, source=args.input)
 
 
-def _load_sidecar(args, parser: argparse.ArgumentParser) -> BaseVocabulary | None:
-    if getattr(args, "vocab", None) is None:
-        return None
-    label = _boundary_label(args) if hasattr(args, "no_boundary") else args.boundary
-    return load_vocabulary(args.vocab, boundary_label=label)
+def _load_table(args) -> bpe.MergeTable:
+    """The --merges table over the --vocab sidecar, if any. The merge file is
+    read once: its line 3 is the boundary label the sidecar is loaded with."""
+    lines = read_lines(args.merges)
+    vocab = None
+    if args.vocab is not None:
+        # A bad header is reported by parse_merge_table; until then, no label.
+        label = lines[2].strip() if len(lines) > 2 and lines[0] == bpe.MERGE_FILE_MAGIC else ""
+        vocab = load_vocabulary(args.vocab, boundary_label=label or None)
+    return bpe.parse_merge_table(lines, vocab)
 
 
-def _check_boundary_flags(args, parser: argparse.ArgumentParser) -> None:
-    if getattr(args, "format", None) == FORMAT_DAU and hasattr(args, "no_boundary"):
-        if args.boundary != DEFAULT_BOUNDARY_LABEL or args.no_boundary:
-            parser.error("--boundary/--no-boundary apply to symbolic corpora only")
-
-
-def _read_corpus_for(args, parser, vocabulary: BaseVocabulary | None) -> Corpus:
-    lines = _read_lines(args.input)
-    label = _boundary_label(args) if hasattr(args, "no_boundary") else getattr(args, "boundary", DEFAULT_BOUNDARY_LABEL)
-    return read_corpus(lines, args.format, vocabulary, boundary_label=label, source=args.input)
-
-
-def _cmd_train(args, parser) -> int:
-    _check_boundary_flags(args, parser)
-    vocab = _load_sidecar(args, parser)
-    corpus = _read_corpus_for(args, parser, vocab)
+def _cmd_train(args) -> int:
+    corpus = _read_corpus(args)
     options = bpe.TrainOptions(
         target_size=args.target_size,
         respect_boundaries=not args.no_boundary,
@@ -198,17 +200,9 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
-def _load_table(args) -> bpe.MergeTable:
-    vocab = None
-    if args.vocab is not None:
-        vocab = load_vocabulary(args.vocab, boundary_label=args.boundary)
-    return bpe.load_merge_table(args.merges, vocab)
-
-
-def _cmd_encode(args, parser) -> int:
+def _cmd_encode(args) -> int:
     table = _load_table(args)
-    lines = _read_lines(args.input)
-    corpus = read_corpus(lines, args.format, table.base, boundary_label=args.boundary, source=args.input)
+    corpus = _read_corpus(args, table.base)
     if args.oracle:
         sequences = tuple(oracle.naive_encode(seq, table) for seq in corpus.sequences)
     else:
@@ -218,7 +212,7 @@ def _cmd_encode(args, parser) -> int:
     return 0
 
 
-def _cmd_decode(args, parser) -> int:
+def _cmd_decode(args) -> int:
     table = _load_table(args)
     tokens = codec.read_token_lines(_read_lines(args.input))
     decoded = Corpus(table.base, tuple(codec.decode(t, table) for t in tokens), source=args.input)
@@ -227,10 +221,8 @@ def _cmd_decode(args, parser) -> int:
     return 0
 
 
-def _cmd_stats(args, parser) -> int:
-    _check_boundary_flags(args, parser)
-    vocab = _load_sidecar(args, parser)
-    corpus = _read_corpus_for(args, parser, vocab)
+def _cmd_stats(args) -> int:
+    corpus = _read_corpus(args)
     cs = corpus_stats(corpus)
     run_mean = metrics.corpus_run_length_mean(s.units for s in corpus.sequences)
     record = dict(asdict(cs), run_length_mean=run_mean)
@@ -242,17 +234,17 @@ def _cmd_stats(args, parser) -> int:
     return 0
 
 
-def _cmd_analyze(args, parser) -> int:
+def _cmd_analyze(args) -> int:
+    if args.threads < 1:
+        raise ContractError("threads must be at least 1")
     table = _load_table(args)
-    lines = _read_lines(args.input)
-    corpus = read_corpus(lines, args.format, table.base, boundary_label=args.boundary, source=args.input)
-    report = metrics.analyze(corpus, table, threads=args.threads)
+    report = metrics.analyze(_read_corpus(args, table.base), table)
     with _out_stream(args.out) as out:
         out.write(report.to_json() + "\n" if args.json else report.to_text())
     return 0
 
 
-def _cmd_tradeoff(args, parser) -> int:
+def _cmd_tradeoff(args) -> int:
     rows = [
         {"eps": eps, "n": n, "probability": metrics.edge_case_probability(eps, n)}
         for eps in args.eps
@@ -266,7 +258,7 @@ def _cmd_tradeoff(args, parser) -> int:
     return 0
 
 
-def _cmd_synth(args, parser) -> int:
+def _cmd_synth(args) -> int:
     if args.kind == "zipf":
         spec = synth.ZipfSpec(
             seed=args.seed,
@@ -305,12 +297,12 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("train", "stats") and args.format == FORMAT_DAU:
+        if args.boundary != DEFAULT_BOUNDARY_LABEL or args.no_boundary:
+            parser.error("--boundary/--no-boundary apply to symbolic corpora only")
     try:
-        return _COMMANDS[args.command](args, parser)
-    except UnitBpeError as exc:
-        print(f"unitbpe: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _COMMANDS[args.command](args)
+    except (UnitBpeError, OSError) as exc:
         print(f"unitbpe: error: {exc}", file=sys.stderr)
         return 1
 

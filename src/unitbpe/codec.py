@@ -11,7 +11,6 @@ construction.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -32,13 +31,6 @@ class TokenSequence:
 
     def __iter__(self):
         return iter(self.tokens)
-
-
-def _rule_index(table: MergeTable) -> tuple[dict[int, tuple[int, int]], int]:
-    # Pack pairs into single ints for cheap dict keys.
-    shift = max(1, (table.vocab_size - 1).bit_length())
-    rules = {(m.left << shift) | m.right: (m.rank, m.result) for m in table.merges}
-    return rules, shift
 
 
 def _encode_ids(ids: Sequence[int], rules: dict[int, tuple[int, int]], shift: int) -> list[int]:
@@ -100,7 +92,7 @@ def encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:
     for uid in seq.units:
         if not 0 <= uid < base_size:
             raise ValidationError(f"unit id {uid} outside base vocabulary of size {base_size}")
-    rules, shift = _rule_index(table)
+    rules, shift = table.packed_rules
     return TokenSequence(tuple(_encode_ids(seq.units, rules, shift)))
 
 
@@ -134,21 +126,14 @@ class EncodedCorpus:
 
 
 def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> EncodedCorpus:
-    """Encode every sequence; parallel over sequences with ordered output."""
+    """Encode every sequence in order, in one thread; ``threads`` must be at
+    least 1 and changes nothing else."""
     if corpus.vocabulary != table.base:
         raise ValidationError("corpus vocabulary does not match the merge table's base vocabulary")
     if threads < 1:
         raise ContractError("threads must be at least 1")
-    rules, shift = _rule_index(table)
-
-    def run(seq: UnitSequence) -> tuple[int, ...]:
-        return tuple(_encode_ids(seq.units, rules, shift))
-
-    if threads == 1 or len(corpus.sequences) < 2:
-        encoded = [run(s) for s in corpus.sequences]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            encoded = list(pool.map(run, corpus.sequences))
+    rules, shift = table.packed_rules
+    encoded = [tuple(_encode_ids(s.units, rules, shift)) for s in corpus.sequences]
     total_units = sum(len(s) for s in corpus.sequences)
     total_tokens = sum(len(t) for t in encoded)
     return EncodedCorpus(tuple(TokenSequence(t) for t in encoded), total_units, total_tokens)

@@ -135,14 +135,29 @@ def symbolic_vocabulary(
     return BaseVocabulary(tuple(units), special, boundary)
 
 
+def decode_lines(data: bytes) -> list[str]:
+    """Split UTF-8 bytes into lines without their line ends. A byte that is
+    not UTF-8 raises ParseError naming its line, numbered as every parser
+    here numbers lines."""
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", line=line) from None
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """Lines of a UTF-8 file; see decode_lines."""
+    return decode_lines(Path(path).read_bytes())
+
+
 def load_vocabulary(
     path: str | Path, boundary_label: str | None = DEFAULT_BOUNDARY_LABEL
 ) -> BaseVocabulary:
     """Read a sidecar vocabulary file: one content label per line, line
     number = unit id."""
-    text = Path(path).read_text(encoding="utf-8")
     labels = []
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(read_lines(path), start=1):
         label = line.strip()
         if not label:
             raise ParseError("empty label", line=i)
@@ -283,13 +298,10 @@ def load_corpus(
     For ``dau-int`` without a supplied vocabulary the base vocabulary is
     {0..max_id} plus the three specials; for ``symbolic`` it is inferred in
     first-appearance order. An empty file yields an empty corpus. Malformed
-    tokens raise ParseError with the line number; out-of-range or reserved
-    ids raise ValidationError.
+    tokens and bytes that are not UTF-8 raise ParseError with the line
+    number; out-of-range or reserved ids raise ValidationError.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    return read_corpus(
-        text.splitlines(), format, vocabulary, boundary_label, source=str(path)
-    )
+    return read_corpus(read_lines(path), format, vocabulary, boundary_label, source=str(path))
 
 
 def corpus_lines(corpus: Corpus, format: str) -> Iterable[str]:

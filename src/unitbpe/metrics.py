@@ -247,11 +247,12 @@ class AnalysisReport:
         return "".join(f"{key} {value}\n" for key, value in asdict(self).items())
 
 
-def analyze(corpus: Corpus, table: MergeTable, threads: int = 1) -> AnalysisReport:
-    """Run the full before/after analysis of a corpus under a merge table."""
+def analyze(corpus: Corpus, table: MergeTable) -> AnalysisReport:
+    """Run the full before/after analysis of a corpus under a merge table:
+    encode it, then compare lengths and balance before and after."""
     base_size = len(table.base)
     token_size = table.vocab_size
-    encoded = encode_corpus(corpus, table, threads=threads)
+    encoded = encode_corpus(corpus, table)
     if not corpus.sequences or encoded.mean_tokens is None:
         raise ContractError("cannot analyze an empty corpus")
     n_hat = encoded.mean_units

@@ -114,6 +114,24 @@ class TestEncodeDecode:
         assert code == 0
         assert out == corpus.read_text()
 
+    @pytest.mark.parametrize(
+        "boundary_flags", [(), ("--boundary", "|"), ("--no-boundary",)], ids=["default", "pipe", "none"]
+    )
+    def test_sidecar_round_trip_under_any_boundary(self, capsys, tmp_path, boundary_flags):
+        # The corpus has no "_", so the sidecar's size depends on the
+        # boundary chosen at training; later commands read it from the table.
+        corpus = tmp_path / "p.txt"
+        corpus.write_text("K AE1 T S\nK AE1 T\nS K AE1 T\n", encoding="utf-8")
+        vocab, merges = tmp_path / "p.vocab", tmp_path / "p.bpe"
+        tok, back = tmp_path / "p.tok", tmp_path / "p.back"
+        assert run(capsys, "train", "--input", str(corpus), "--format", "symbolic", *boundary_flags,
+                   "--target-size", "10", "--save-vocab", str(vocab), "--out", str(merges))[0] == 0
+        table_args = ("--format", "symbolic", "--merges", str(merges), "--vocab", str(vocab))
+        assert run(capsys, "encode", "--input", str(corpus), *table_args, "--out", str(tok))[0] == 0
+        assert run(capsys, "decode", "--input", str(tok), *table_args, "--out", str(back))[0] == 0
+        assert back.read_bytes() == corpus.read_bytes()
+        assert run(capsys, "analyze", "--input", str(corpus), *table_args)[0] == 0
+
     def test_encode_oracle_flag_matches(self, capsys, tmp_path, dau_corpus, trained):
         fast = run(capsys, "encode", "--input", str(dau_corpus), "--merges", str(trained))
         slow = run(capsys, "encode", "--input", str(dau_corpus), "--merges", str(trained), "--oracle")
@@ -206,6 +224,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "train", "--input", str(dau_corpus), "--target-size", "2")
         assert code == 1
         assert "target_size" in err
+
+    @pytest.mark.parametrize("bad_input", ["corpus", "vocab", "merges", "stdin"])
+    def test_invalid_utf8_is_1_with_line(self, capsys, monkeypatch, tmp_path, dau_corpus, trained, bad_input):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"unitbpe-v1\n\xff6\n\n" if bad_input == "merges" else b"1 2\n3 \xff4\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8"))
+        argv = {
+            "corpus": ["--input", str(bad), "--merges", str(trained)],
+            "vocab": ["--input", str(dau_corpus), "--merges", str(trained), "--vocab", str(bad)],
+            "merges": ["--input", str(dau_corpus), "--merges", str(bad)],
+            "stdin": ["--input", "-", "--merges", str(trained)],
+        }[bad_input]
+        code, _, err = run(capsys, "encode", *argv)
+        assert code == 1
+        assert "line 2" in err and "not valid UTF-8" in err
+        assert "Traceback" not in err
 
     def test_boundary_flags_rejected_for_dau(self, capsys, dau_corpus):
         with pytest.raises(SystemExit) as exc:

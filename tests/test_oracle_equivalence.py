@@ -6,7 +6,21 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitbpe import TrainOptions, encode, naive_encode, naive_train, read_corpus, train
+from unitbpe import (
+    Corpus,
+    Merge,
+    MergeTable,
+    TrainOptions,
+    UnitSequence,
+    decode,
+    encode,
+    encode_corpus,
+    naive_encode,
+    naive_train,
+    read_corpus,
+    symbolic_vocabulary,
+    train,
+)
 from tests.conftest import random_corpus, random_sequence
 
 
@@ -59,3 +73,37 @@ class TestEquivalence:
         for _ in range(8):
             seq = random_sequence(rng, corpus.vocabulary)
             assert encode(seq, table) == naive_encode(seq, table)
+
+
+@st.composite
+def untrained_tables(draw):
+    """Any valid MergeTable: dense ranks, both sides defined before the
+    result, no special or boundary unit merged, no pair twice. Most of these
+    are tables no training run would produce."""
+    content = draw(st.integers(1, 5))
+    vocab = symbolic_vocabulary([f"u{i}" for i in range(content)], boundary_label=None)
+    base = len(vocab)
+    merges: list[Merge] = []
+    for _ in range(draw(st.integers(0, 16))):
+        usable = st.sampled_from(list(range(content)) + list(range(base, base + len(merges))))
+        pair = (draw(usable), draw(usable))
+        if pair not in {(m.left, m.right) for m in merges}:
+            merges.append(Merge(len(merges), pair[0], pair[1], base + len(merges)))
+    return MergeTable(vocab, tuple(merges))
+
+
+class TestUntrainedTables:
+    @settings(max_examples=300, deadline=None)
+    @given(untrained_tables(), st.data())
+    def test_codec_matches_reference_on_any_valid_table(self, table, data):
+        # Sequences are runs of token surfaces (specials included), so that
+        # rules over merged tokens have something to fire on.
+        tokens = st.lists(st.integers(0, table.vocab_size - 1), max_size=12)
+        drawn = data.draw(st.lists(tokens, min_size=1, max_size=12))
+        sequences = (UnitSequence(tuple(u for t in ts for u in table.token_surface(t))) for ts in drawn)
+        corpus = Corpus(table.base, tuple(sequences))
+        expected = [naive_encode(seq, table) for seq in corpus.sequences]
+        # One table object serves every call, so its cached index is reused.
+        assert [encode(seq, table) for seq in corpus.sequences] == expected
+        assert list(encode_corpus(corpus, table).sequences) == expected
+        assert [decode(t, table) for t in expected] == list(corpus.sequences)
