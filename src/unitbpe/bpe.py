@@ -7,20 +7,26 @@ respected) or touch a special token are never merged. Ties on count break
 toward the lexicographically smallest (left id, right id), which makes
 training fully deterministic.
 
-The trainer here is the fast path: a linked-list corpus representation with
-incremental pair bookkeeping and a lazy max-heap. Its contract is defined by
-equivalence with the reference implementation that rescans the corpus every
-iteration (see the oracle module).
+The trainer here is the fast path. It splits every sequence at the blocked
+units (specials, and the boundary when respected) and keeps one copy of each
+distinct chunk, weighted by how often it occurs. This is exact because no
+merge crosses a blocked unit, so every copy of a chunk is rewritten the same
+way. Over those chunks it keeps a linked list, a weighted count per pair,
+append-only lists of the positions where each pair was seen (re-checked when
+used), and a lazy max-heap. Its contract is defined by equivalence with the
+reference implementation that rescans the corpus every iteration (see the
+oracle module).
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .corpus import BaseVocabulary, Corpus, dau_vocabulary, read_lines
 from .errors import ContractError, ParseError, ValidationError
@@ -178,6 +184,20 @@ def _blocked_ids(vocabulary: BaseVocabulary, respect_boundaries: bool) -> tuple[
     return blocked, boundary
 
 
+def split_chunks(units: tuple[int, ...], blocked: set[int]) -> Iterator[tuple[int, ...]]:
+    """The runs of units between blocked ids, in order, empty runs included:
+    a sequence with n blocked units yields n + 1 chunks."""
+    if blocked.isdisjoint(units):
+        yield units
+        return
+    start = 0
+    for k, uid in enumerate(units):
+        if uid in blocked:
+            yield units[start:k]
+            start = k + 1
+    yield units[start:]
+
+
 def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable:
     """Learn a MergeTable from a corpus (the fast trainer).
 
@@ -195,32 +215,41 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
         raise ContractError("threads must be at least 1")
     blocked, boundary = _blocked_ids(vocab, options.respect_boundaries)
 
-    # Flattened doubly linked list over all sequences; val -1 marks dead nodes.
-    val: list[int] = []
-    nxt: list[int] = []
-    prv: list[int] = []
-    for seq in corpus.sequences:
-        start = len(val)
-        for k, uid in enumerate(seq.units):
-            val.append(uid)
-            prv.append(start + k - 1 if k else -1)
-            nxt.append(start + k + 1 if k + 1 < len(seq) else -1)
+    # Each distinct chunk of two or more units, weighted by its occurrences.
+    chunks: Counter[tuple[int, ...]] = Counter(
+        chunk for seq in corpus.sequences for chunk in split_chunks(seq.units, blocked) if len(chunk) > 1
+    )
 
-    # occ maps a live pair to the set of its left-node positions.
-    occ: dict[tuple[int, int], set[int]] = {}
-    pos = 0
-    for seq in corpus.sequences:
-        for k in range(len(seq) - 1):
-            a, b = val[pos + k], val[pos + k + 1]
-            if a not in blocked and b not in blocked:
-                occ.setdefault((a, b), set()).add(pos + k)
-        pos += len(seq)
+    # Flattened doubly linked list over the distinct chunks, with the chunk's
+    # weight at every node; val -1 marks dead nodes. cnt holds each pair's
+    # weighted count; where lists the left-node positions the pair was ever
+    # seen at, so entries go stale and are re-checked when used.
+    val, nxt, prv, wt = array("q"), array("q"), array("q"), array("q")
+    cnt: dict[tuple[int, int], int] = {}
+    where: dict[tuple[int, int], array] = {}
+    for chunk, w in chunks.items():
+        start = len(val)
+        end = start + len(chunk)
+        val.extend(chunk)
+        nxt.extend(range(start + 1, end))
+        nxt.append(-1)
+        prv.append(-1)
+        prv.extend(range(start, end - 1))
+        wt.extend([w] * len(chunk))
+        for i, pair in enumerate(zip(chunk, chunk[1:]), start):
+            cnt[pair] = cnt.get(pair, 0) + w
+            sites = where.get(pair)
+            if sites is None:
+                where[pair] = array("q", (i,))
+            else:
+                sites.append(i)
 
     # Lazy max-heap of (-count, left, right); stale entries are dropped or
     # refreshed on pop. Counts of existing pairs only ever decrease, and
     # merges only create pairs involving the brand-new token, so one push
-    # per new key plus refresh-on-pop keeps the top exact.
-    heap: list[tuple[int, int, int]] = [(-len(v), k[0], k[1]) for k, v in occ.items()]
+    # per new key plus refresh-on-pop keeps the top exact. A new pair rarer
+    # than min_pair_count can never be chosen, so its positions are dropped.
+    heap: list[tuple[int, int, int]] = [(-c, k[0], k[1]) for k, c in cnt.items()]
     heapq.heapify(heap)
 
     merges: list[Merge] = []
@@ -228,8 +257,7 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
         best: tuple[int, int] | None = None
         while heap:
             neg, a, b = heapq.heappop(heap)
-            sites = occ.get((a, b))
-            actual = len(sites) if sites else 0
+            actual = cnt.get((a, b), 0)
             if actual != -neg:
                 if actual >= options.min_pair_count:
                     heapq.heappush(heap, (-actual, a, b))
@@ -242,38 +270,40 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
         a, b = best
         z = base_size + len(merges)
         touched: set[tuple[int, int]] = set()
-        for i in sorted(occ[(a, b)]):
+        for i in sorted(where.pop(best)):
             j = nxt[i]
-            # Skip overlap victims: the node died or was rewritten by the
-            # previous replacement in this same left-to-right pass.
+            # Skip stale entries and overlap victims: the node died or was
+            # rewritten, possibly by the previous replacement in this pass.
             if val[i] != a or j == -1 or val[j] != b:
                 continue
+            w = wt[i]
             p, q = prv[i], nxt[j]
-            if p != -1 and val[p] not in blocked:
-                s = occ.get((val[p], a))
-                if s is not None:
-                    s.discard(p)
-            if q != -1 and val[q] not in blocked:
-                s = occ.get((b, val[q]))
-                if s is not None:
-                    s.discard(j)
             val[i] = z
             val[j] = -1
             nxt[i] = q
             nxt[j] = prv[j] = -1
+            if p != -1:
+                x = val[p]
+                cnt[(x, a)] -= w
+                key = (x, z)
+                cnt[key] = cnt.get(key, 0) + w
+                where.setdefault(key, array("q")).append(p)
+                touched.add(key)
             if q != -1:
                 prv[q] = i
-            if p != -1 and val[p] not in blocked:
-                occ.setdefault((val[p], z), set()).add(p)
-                touched.add((val[p], z))
-            if q != -1 and val[q] not in blocked:
-                occ.setdefault((z, val[q]), set()).add(i)
-                touched.add((z, val[q]))
-        del occ[(a, b)]
+                y = val[q]
+                cnt[(b, y)] -= w
+                key = (z, y)
+                cnt[key] = cnt.get(key, 0) + w
+                where.setdefault(key, array("q")).append(i)
+                touched.add(key)
+        del cnt[best]
         for key in touched:
-            sites = occ.get(key)
-            if sites:
-                heapq.heappush(heap, (-len(sites), key[0], key[1]))
+            c = cnt[key]
+            if c >= options.min_pair_count:
+                heapq.heappush(heap, (-c, key[0], key[1]))
+            else:
+                del where[key]
         merges.append(Merge(len(merges), a, b, z))
 
     return MergeTable(vocab, tuple(merges), boundary=boundary)

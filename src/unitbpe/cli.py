@@ -197,6 +197,13 @@ def _cmd_train(args) -> int:
         save_vocabulary(corpus.vocabulary, args.save_vocab)
     with _out_stream(args.out) as out:
         bpe.save_merge_table(table, out)
+    if table.vocab_size < args.target_size:
+        print(
+            f"unitbpe: note: stopped after {len(table.merges)} merges at |Z| = {table.vocab_size},"
+            f" short of --target-size {args.target_size}:"
+            f" no remaining pair reaches --min-pair-count {args.min_pair_count}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -297,9 +304,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("train", "stats") and args.format == FORMAT_DAU:
-        if args.boundary != DEFAULT_BOUNDARY_LABEL or args.no_boundary:
+    if args.command in ("train", "stats"):
+        if args.format == FORMAT_DAU and (args.boundary != DEFAULT_BOUNDARY_LABEL or args.no_boundary):
             parser.error("--boundary/--no-boundary apply to symbolic corpora only")
+        if args.boundary.split() != [args.boundary]:
+            parser.error(f"--boundary must be one label without whitespace, got {args.boundary!r}")
     try:
         return _COMMANDS[args.command](args)
     except (UnitBpeError, OSError) as exc:

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .bpe import MergeTable
+from .bpe import MergeTable, split_chunks
 from .corpus import Corpus, UnitSequence
 from .errors import ContractError, ParseError, ValidationError
 
@@ -127,13 +127,33 @@ class EncodedCorpus:
 
 def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> EncodedCorpus:
     """Encode every sequence in order, in one thread; ``threads`` must be at
-    least 1 and changes nothing else."""
+    least 1 and changes nothing else.
+
+    When the table has a boundary, each sequence is split at it and every
+    distinct chunk is encoded once: no rule involves the boundary, so a
+    chunk's tokens do not depend on its neighbours."""
     if corpus.vocabulary != table.base:
         raise ValidationError("corpus vocabulary does not match the merge table's base vocabulary")
     if threads < 1:
         raise ContractError("threads must be at least 1")
     rules, shift = table.packed_rules
-    encoded = [tuple(_encode_ids(s.units, rules, shift)) for s in corpus.sequences]
+    boundary = table.boundary
+    if boundary is None:
+        encoded = [tuple(_encode_ids(s.units, rules, shift)) for s in corpus.sequences]
+    else:
+        memo: dict[tuple[int, ...], list[int]] = {}
+        separator = {boundary}
+        encoded = []
+        for s in corpus.sequences:
+            out: list[int] = []
+            for chunk in split_chunks(s.units, separator):
+                tokens = memo.get(chunk)
+                if tokens is None:
+                    tokens = memo[chunk] = _encode_ids(chunk, rules, shift)
+                out += tokens
+                out.append(boundary)
+            out.pop()
+            encoded.append(tuple(out))
     total_units = sum(len(s) for s in corpus.sequences)
     total_tokens = sum(len(t) for t in encoded)
     return EncodedCorpus(tuple(TokenSequence(t) for t in encoded), total_units, total_tokens)

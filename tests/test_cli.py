@@ -68,6 +68,22 @@ class TestTrain:
         assert vocab_out.read_text().splitlines() == ["K", "AE1", "T", "_", "S"]
 
 
+    def test_note_when_short_of_target(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 1 2 1 2\n"))
+        code, out, err = run(capsys, "train", "--input", "-", "--target-size", "100")
+        assert code == 0
+        assert len(out.splitlines()) == 3 + 2
+        assert err == (
+            "unitbpe: note: stopped after 2 merges at |Z| = 8, short of --target-size 100:"
+            " no remaining pair reaches --min-pair-count 2\n"
+        )
+
+    def test_no_note_when_target_reached(self, capsys, dau_corpus):
+        code, _, err = run(capsys, "train", "--input", str(dau_corpus), "--target-size", "7")
+        assert code == 0
+        assert err == ""
+
+
 class TestEncodeDecode:
     def test_file_round_trip(self, capsys, tmp_path, dau_corpus, trained):
         tok = tmp_path / "tok.txt"
@@ -246,3 +262,18 @@ class TestExitCodes:
             main(["train", "--input", str(dau_corpus), "--target-size", "9", "--no-boundary"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["train", "stats"])
+    @pytest.mark.parametrize("label", ["", " ", "a b"])
+    def test_boundary_label_must_be_one_token(self, capsys, tmp_path, command, label):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("K AE1 T S\n", encoding="utf-8")
+        out, vocab = tmp_path / "out.txt", tmp_path / "vocab.txt"
+        argv = [command, "--input", str(corpus), "--format", "symbolic", "--boundary", label, "--out", str(out)]
+        if command == "train":
+            argv += ["--target-size", "20", "--save-vocab", str(vocab)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--boundary" in capsys.readouterr().err
+        assert not out.exists() and not vocab.exists()

@@ -12,6 +12,7 @@ from unitbpe import (
     MergeTable,
     TrainOptions,
     UnitSequence,
+    dau_vocabulary,
     decode,
     encode,
     encode_corpus,
@@ -73,6 +74,70 @@ class TestEquivalence:
         for _ in range(8):
             seq = random_sequence(rng, corpus.vocabulary)
             assert encode(seq, table) == naive_encode(seq, table)
+
+
+@st.composite
+def chunked_corpora(draw):
+    """Corpora heavy with duplicate chunks: either lines joined from a small
+    drawn lexicon of chunks by the boundary, with special units sometimes
+    mixed in, or whole dau-int lines drawn from a few distinct ones."""
+    if draw(st.booleans()):
+        content = draw(st.integers(1, 4))
+        vocab = symbolic_vocabulary([f"u{i}" for i in range(content)])
+        chunk = st.lists(st.integers(0, content - 1), max_size=6).map(tuple)
+        specials = sorted(vocab.special)
+        lexicon = draw(st.lists(chunk, min_size=1, max_size=5))
+        sequences = []
+        for _ in range(draw(st.integers(0, 25))):
+            words = draw(st.lists(st.sampled_from(lexicon), min_size=1, max_size=6))
+            units = list(words[0])
+            for word in words[1:]:
+                units.append(vocab.boundary)
+                units += word
+            if draw(st.integers(0, 3)) == 0:
+                units.insert(draw(st.integers(0, len(units))), draw(st.sampled_from(specials)))
+            sequences.append(UnitSequence(tuple(units)))
+    else:
+        vocab = dau_vocabulary(draw(st.integers(1, 4)))
+        line = st.lists(st.integers(0, len(vocab) - 4), max_size=12).map(tuple)
+        lines = draw(st.lists(line, min_size=1, max_size=4))
+        sequences = [UnitSequence(draw(st.sampled_from(lines))) for _ in range(draw(st.integers(0, 25)))]
+    return Corpus(vocab, tuple(sequences))
+
+
+class TestDuplicateChunks:
+    """The trainer counts each distinct chunk once with its frequency as a
+    weight, and encode_corpus encodes each distinct chunk once; both must
+    still match the reference, which sees every copy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunked_corpora(), st.booleans(), st.integers(1, 3), st.integers(1, 20))
+    def test_train_and_encode_corpus_match_reference(self, corpus, respect, min_count, extra):
+        options = TrainOptions(
+            target_size=len(corpus.vocabulary) + extra,
+            respect_boundaries=respect,
+            min_pair_count=min_count,
+        )
+        table = train(corpus, options)
+        assert table == naive_train(corpus, options)
+        expected = [naive_encode(seq, table) for seq in corpus.sequences]
+        assert list(encode_corpus(corpus, table).sequences) == expected
+
+    def test_weights_decide_the_winner(self):
+        # Distinct chunks "a b" and "c d" each hold their pair once; by
+        # occurrence (a b) is seen 2 times and (c d) 3 times, so (c d) wins,
+        # though the tie-break would pick (a b) if each chunk counted once.
+        vocab = symbolic_vocabulary(["a", "b", "c", "d"])
+        corpus = read_corpus(["a b _ c d", "c d _ a b _ c d"], "symbolic", vocab)
+        a, b, c, d, bnd = (vocab.id_of(x) for x in "abcd_")
+        base = len(vocab)
+        table = train(corpus, TrainOptions(target_size=base + 2))
+        assert [(m.left, m.right) for m in table.merges] == [(c, d), (a, b)]
+        assert [s.tokens for s in encode_corpus(corpus, table).sequences] == [
+            (base + 1, bnd, base),
+            (base, bnd, base + 1, bnd, base),
+        ]
+        assert train(corpus, TrainOptions(target_size=base + 2, min_pair_count=3)).merges == table.merges[:1]
 
 
 @st.composite
