@@ -117,17 +117,13 @@ class MergeTable:
         return {(m.left, m.right): m for m in self.merges}
 
     @cached_property
-    def _expansions(self) -> tuple[tuple[int, ...], ...]:
-        # Surface of merged token base_size+i, as base unit ids.
-        out: list[tuple[int, ...]] = []
-        base_size = len(self.base)
-
-        def surf(tid: int) -> tuple[int, ...]:
-            return (tid,) if tid < base_size else out[tid - base_size]
-
+    def _expansions(self) -> dict[int, tuple[int, ...]]:
+        # Merged token id -> its surface as base unit ids. Base ids are not
+        # keys: their surface is themselves, and the base may be large.
+        out: dict[int, tuple[int, ...]] = {}
         for m in self.merges:
-            out.append(surf(m.left) + surf(m.right))
-        return tuple(out)
+            out[m.result] = out.get(m.left, (m.left,)) + out.get(m.right, (m.right,))
+        return out
 
     @cached_property
     def packed_rules(self) -> tuple[dict[int, tuple[int, int]], int]:
@@ -142,9 +138,7 @@ class MergeTable:
             raise ValidationError(
                 f"token id {token_id} outside vocabulary of size {self.vocab_size}"
             )
-        if token_id < len(self.base):
-            return (token_id,)
-        return self._expansions[token_id - len(self.base)]
+        return self._expansions.get(token_id, (token_id,))
 
     def token_label(self, token_id: int, joiner: str = "+") -> str:
         """Human-readable token surface: unit labels joined by ``joiner``."""
@@ -221,9 +215,9 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
     )
 
     # Flattened doubly linked list over the distinct chunks, with the chunk's
-    # weight at every node; val -1 marks dead nodes. cnt holds each pair's
-    # weighted count; where lists the left-node positions the pair was ever
-    # seen at, so entries go stale and are re-checked when used.
+    # weight at every node; val -1 marks dead nodes. cnt holds each live
+    # pair's weighted count; where lists the left-node positions the pair was
+    # ever seen at, so entries go stale and are re-checked when used.
     val, nxt, prv, wt = array("q"), array("q"), array("q"), array("q")
     cnt: dict[tuple[int, int], int] = {}
     where: dict[tuple[int, int], array] = {}
@@ -248,7 +242,8 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
     # refreshed on pop. Counts of existing pairs only ever decrease, and
     # merges only create pairs involving the brand-new token, so one push
     # per new key plus refresh-on-pop keeps the top exact. A new pair rarer
-    # than min_pair_count can never be chosen, so its positions are dropped.
+    # than min_pair_count can never be chosen, so its count and positions
+    # are dropped and later decrements of it are skipped.
     heap: list[tuple[int, int, int]] = [(-c, k[0], k[1]) for k, c in cnt.items()]
     heapq.heapify(heap)
 
@@ -284,7 +279,9 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
             nxt[j] = prv[j] = -1
             if p != -1:
                 x = val[p]
-                cnt[(x, a)] -= w
+                key = (x, a)
+                if key in cnt:
+                    cnt[key] -= w
                 key = (x, z)
                 cnt[key] = cnt.get(key, 0) + w
                 where.setdefault(key, array("q")).append(p)
@@ -292,7 +289,9 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
             if q != -1:
                 prv[q] = i
                 y = val[q]
-                cnt[(b, y)] -= w
+                key = (b, y)
+                if key in cnt:
+                    cnt[key] -= w
                 key = (z, y)
                 cnt[key] = cnt.get(key, 0) + w
                 where.setdefault(key, array("q")).append(i)
@@ -303,7 +302,7 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
             if c >= options.min_pair_count:
                 heapq.heappush(heap, (-c, key[0], key[1]))
             else:
-                del where[key]
+                del cnt[key], where[key]
         merges.append(Merge(len(merges), a, b, z))
 
     return MergeTable(vocab, tuple(merges), boundary=boundary)

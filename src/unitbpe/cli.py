@@ -33,7 +33,7 @@ from .corpus import (
     read_lines,
     save_vocabulary,
 )
-from .errors import ContractError, UnitBpeError
+from .errors import ContractError, UnitBpeError, ValidationError
 
 
 def _read_lines(path: str) -> list[str]:
@@ -220,9 +220,20 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    """Decode token lines. Unlike library decode, a special id is an error:
+    the output must be a corpus file, and those never hold specials."""
     table = _load_table(args)
-    tokens = codec.read_token_lines(_read_lines(args.input))
-    decoded = Corpus(table.base, tuple(codec.decode(t, table) for t in tokens), source=args.input)
+    special = table.base.special
+    sequences = []
+    for lineno, tokens in enumerate(codec.read_token_lines(_read_lines(args.input)), start=1):
+        try:
+            sequences.append(codec.decode(tokens, table))
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        if not special.isdisjoint(tokens.tokens):
+            bad = next(t for t in tokens.tokens if t in special)
+            raise ValidationError(f"line {lineno}: token id {bad} is a reserved special token")
+    decoded = Corpus(table.base, tuple(sequences), source=args.input)
     with _out_stream(args.out) as out:
         _write_lines(out, corpus_lines(decoded, args.format))
     return 0

@@ -5,18 +5,20 @@ with an occurrence is applied at its leftmost position. Because no rule
 involves the boundary or a special token, those units pass through
 untouched and merged tokens never span a word boundary. Decoding
 concatenates token surfaces, which makes the round trip lossless by
-construction.
+construction: one range check per sequence, then base ids stand for
+themselves and merged ids expand through the table.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .bpe import MergeTable, split_chunks
-from .corpus import Corpus, UnitSequence
-from .errors import ContractError, ParseError, ValidationError
+from .corpus import Corpus, UnitSequence, parse_id_line
+from .errors import ContractError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -88,20 +90,25 @@ def _encode_ids(ids: Sequence[int], rules: dict[int, tuple[int, int]], shift: in
 
 def encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:
     """Tokenize one unit sequence with a merge table."""
+    units = seq.units
     base_size = len(table.base)
-    for uid in seq.units:
-        if not 0 <= uid < base_size:
-            raise ValidationError(f"unit id {uid} outside base vocabulary of size {base_size}")
+    if units and (min(units) < 0 or max(units) >= base_size):
+        bad = next(u for u in units if not 0 <= u < base_size)
+        raise ValidationError(f"unit id {bad} outside base vocabulary of size {base_size}")
     rules, shift = table.packed_rules
-    return TokenSequence(tuple(_encode_ids(seq.units, rules, shift)))
+    return TokenSequence(tuple(_encode_ids(units, rules, shift)))
 
 
 def decode(tokens: TokenSequence, table: MergeTable) -> UnitSequence:
-    """Invert encode by concatenating token surfaces."""
-    out: list[int] = []
-    for t in tokens.tokens:
-        out.extend(table.token_surface(t))
-    return UnitSequence(tuple(out))
+    """Invert encode by concatenating token surfaces. Any id of the merged
+    vocabulary decodes, specials included."""
+    ids = tokens.tokens
+    size = table.vocab_size
+    if ids and (min(ids) < 0 or max(ids) >= size):
+        bad = next(t for t in ids if not 0 <= t < size)
+        raise ValidationError(f"token id {bad} outside vocabulary of size {size}")
+    # zip(ids) yields each id as a 1-tuple: the surface of a base id.
+    return UnitSequence(tuple(chain.from_iterable(map(table._expansions.get, ids, zip(ids)))))
 
 
 @dataclass(frozen=True)
@@ -168,20 +175,12 @@ def token_lines(
         raise ContractError("surface rendering requires a merge table")
     for seq in sequences:
         if surfaces:
-            yield " ".join(table.token_label(t) for t in seq.tokens)
+            yield " ".join(map(table.token_label, seq.tokens))
         else:
-            yield " ".join(str(t) for t in seq.tokens)
+            yield " ".join(map(str, seq.tokens))
 
 
 def read_token_lines(lines: Iterable[str]) -> list[TokenSequence]:
-    """Parse whitespace-separated token ids, one sequence per line."""
-    out = []
-    for lineno, line in enumerate(lines, start=1):
-        ids = []
-        for tok in line.split():
-            try:
-                ids.append(int(tok, 10))
-            except ValueError:
-                raise ParseError(f"non-integer token {tok!r}", line=lineno) from None
-        out.append(TokenSequence(tuple(ids)))
-    return out
+    """Parse whitespace-separated token ids, one sequence per line; ids are
+    not range-checked here (decode does that)."""
+    return [TokenSequence(parse_id_line(line, lineno)) for lineno, line in enumerate(lines, start=1)]

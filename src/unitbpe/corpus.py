@@ -11,12 +11,18 @@ whitespace-separated tokens:
 Vocabularies always reserve three special ids (PAD/BOS/EOS) appended after
 the content units, so a DAU inventory with K clusters has size K+3. Corpus
 files carry content units only; special ids never appear in files.
+
+Parsing and rendering make one C-level pass per line: ``int`` or the label
+lookup mapped over its tokens, then ``min``/``max`` and a disjointness test
+against the specials. Only a line that fails is walked token by token, to
+name the offending token and line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -208,31 +214,37 @@ class Corpus:
         return sum(len(s) for s in self.sequences)
 
 
-def _parse_dau_lines(lines: list[str], vocabulary: BaseVocabulary | None):
-    raw: list[tuple[int, ...]] = []
-    max_id = -1
-    for lineno, line in enumerate(lines, start=1):
-        ids = []
+def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
+    """The whitespace-separated base-10 integers of one line. A token that
+    is not one raises ParseError naming it and the line."""
+    try:
+        return tuple(map(int, line.split()))
+    except ValueError:
         for tok in line.split():
             try:
-                ids.append(int(tok, 10))
+                int(tok, 10)
             except ValueError:
                 raise ParseError(f"non-integer token {tok!r}", line=lineno) from None
+        raise
+
+
+def _parse_dau_lines(lines: list[str], vocabulary: BaseVocabulary | None):
+    raw: list[tuple[int, ...]] = []
+    for lineno, line in enumerate(lines, start=1):
+        ids = parse_id_line(line, lineno)
         if ids and min(ids) < 0:
             bad = next(i for i in ids if i < 0)
             raise ValidationError(f"line {lineno}: negative unit id {bad}")
-        if ids:
-            max_id = max(max_id, max(ids))
-        raw.append(tuple(ids))
+        raw.append(ids)
     if vocabulary is None:
-        vocabulary = dau_vocabulary(max_id + 1)
-    else:
-        size = len(vocabulary)
-        for lineno, ids in enumerate(raw, start=1):
+        return raw, dau_vocabulary(max((max(ids) for ids in raw if ids), default=-1) + 1)
+    size, special = len(vocabulary), vocabulary.special
+    for lineno, ids in enumerate(raw, start=1):
+        if ids and (max(ids) >= size or not special.isdisjoint(ids)):
             for i in ids:
                 if i >= size:
                     raise ValidationError(f"line {lineno}: unit id {i} outside vocabulary of size {size}")
-                if vocabulary.is_special(i):
+                if i in special:
                     raise ValidationError(f"line {lineno}: id {i} is a reserved special token")
     return raw, vocabulary
 
@@ -241,31 +253,27 @@ def _parse_symbolic_lines(
     lines: list[str], vocabulary: BaseVocabulary | None, boundary_label: str | None
 ):
     if vocabulary is None:
-        seen: dict[str, int] = {}
-        label_rows = []
-        for line in lines:
-            row = line.split()
-            for label in row:
-                if label in SPECIAL_LABELS:
-                    raise ValidationError(f"label {label!r} is reserved")
-                if label not in seen:
-                    seen[label] = len(seen)
-            label_rows.append(row)
-        vocabulary = symbolic_vocabulary(seen, boundary_label)
-        raw = [tuple(vocabulary.id_of(label) for label in row) for row in label_rows]
-        return raw, vocabulary
+        rows = [line.split() for line in lines]
+        # Labels in first-appearance order; symbolic_vocabulary rejects the
+        # first reserved one, so the inferred vocabulary has every label.
+        vocabulary = symbolic_vocabulary(dict.fromkeys(chain.from_iterable(rows)), boundary_label)
+    else:
+        rows = (line.split() for line in lines)
+    to_id, special = vocabulary._surface_to_id, vocabulary.special
     raw = []
-    for lineno, line in enumerate(lines, start=1):
-        ids = []
-        for label in line.split():
-            try:
-                uid = vocabulary.id_of(label)
-            except ValidationError:
-                raise ValidationError(f"line {lineno}: unknown label {label!r}") from None
-            if vocabulary.is_special(uid):
-                raise ValidationError(f"line {lineno}: label {label!r} is a reserved special token")
-            ids.append(uid)
-        raw.append(tuple(ids))
+    for lineno, row in enumerate(rows, start=1):
+        try:
+            ids = tuple(map(to_id.__getitem__, row))
+        except KeyError:
+            ids = None
+        if ids is None or not special.isdisjoint(ids):
+            for label in row:
+                uid = to_id.get(label)
+                if uid is None:
+                    raise ValidationError(f"line {lineno}: unknown label {label!r}")
+                if uid in special:
+                    raise ValidationError(f"line {lineno}: label {label!r} is a reserved special token")
+        raw.append(ids)
     return raw, vocabulary
 
 
@@ -310,11 +318,12 @@ def corpus_lines(corpus: Corpus, format: str) -> Iterable[str]:
         raise ContractError(f"unknown corpus format {format!r}")
     if format == FORMAT_DAU:
         for seq in corpus.sequences:
-            yield " ".join(str(i) for i in seq.units)
+            yield " ".join(map(str, seq.units))
     else:
-        vocab = corpus.vocabulary
+        # Corpus has checked every id against the vocabulary.
+        labels = tuple(u.surface for u in corpus.vocabulary.units)
         for seq in corpus.sequences:
-            yield " ".join(vocab.surface(i) for i in seq.units)
+            yield " ".join(map(labels.__getitem__, seq.units))
 
 
 def save_corpus(corpus: Corpus, dest: str | Path | IO[str], format: str) -> None:

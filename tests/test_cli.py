@@ -257,6 +257,31 @@ class TestExitCodes:
         assert "line 2" in err and "not valid UTF-8" in err
         assert "Traceback" not in err
 
+    def test_decode_out_of_range_id_names_line(self, capsys, monkeypatch, trained):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n99\n"))
+        code, out, err = run(capsys, "decode", "--input", "-", "--merges", str(trained))
+        assert code == 1
+        assert err == "unitbpe: error: line 2: token id 99 outside vocabulary of size 8\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["dau-int", "symbolic"])
+    def test_decode_special_id_is_1_with_line(self, capsys, monkeypatch, tmp_path, fmt):
+        # Library decode accepts specials, but decode's output is a corpus
+        # file, which encode would reject; id 5 is <eos> in both tables.
+        corpus, vocab, merges = tmp_path / "c.txt", tmp_path / "c.vocab", tmp_path / "c.bpe"
+        corpus.write_text("0 1 0 1 2\n" if fmt == "dau-int" else "HH AH0 _ HH AH0\n", encoding="utf-8")
+        table_args = ["--format", fmt, "--merges", str(merges)]
+        train_args = ["--target-size", "7", "--out", str(merges)]
+        if fmt == "symbolic":
+            table_args += ["--vocab", str(vocab)]
+            train_args += ["--save-vocab", str(vocab)]
+        assert run(capsys, "train", "--input", str(corpus), "--format", fmt, *train_args)[0] == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n0 5\n"))
+        code, out, err = run(capsys, "decode", "--input", "-", *table_args)
+        assert code == 1
+        assert err == "unitbpe: error: line 2: token id 5 is a reserved special token\n"
+        assert out == ""
+
     def test_boundary_flags_rejected_for_dau(self, capsys, dau_corpus):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--input", str(dau_corpus), "--target-size", "9", "--no-boundary"])

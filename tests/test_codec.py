@@ -85,8 +85,11 @@ class TestDecode:
         assert decode(TokenSequence(()), table_ab()).units == ()
 
     def test_unknown_token_rejected(self):
-        with pytest.raises(ValidationError):
-            decode(TokenSequence((99,)), table_ab())
+        table = table_ab()
+        # The table has 7 tokens; -1 must not pass as a unit or wrap round.
+        for token in (99, -1, table.vocab_size):
+            with pytest.raises(ValidationError, match=rf"^token id {token} outside vocabulary of size 7$"):
+                decode(TokenSequence((0, 6, token, 1)), table)
 
 
 class TestEncodeCorpus:

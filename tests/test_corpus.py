@@ -18,6 +18,7 @@ from unitbpe import (
     split_on_boundaries,
     symbolic_vocabulary,
 )
+from unitbpe.codec import read_token_lines
 from unitbpe.corpus import SPECIAL_LABELS
 from unitbpe.errors import ContractError
 
@@ -124,6 +125,42 @@ class TestCorpusParsing:
         vocab = symbolic_vocabulary(["a"], boundary_label=None)
         with pytest.raises(ValidationError):
             Corpus(vocab, (UnitSequence((99,)),))
+
+    # Lines 1 and 2 are valid; the bad token is on line 3, after a good one.
+    @pytest.mark.parametrize(
+        "parse, bad, error, message",
+        [
+            (lambda lines: read_corpus(lines, "dau-int"), "x", ParseError, "line 3: non-integer token 'x'"),
+            (lambda lines: read_corpus(lines, "dau-int"), "-2", ValidationError, "line 3: negative unit id -2"),
+            (
+                lambda lines: read_corpus(lines, "dau-int", dau_vocabulary(4)),
+                "9", ValidationError, "line 3: unit id 9 outside vocabulary of size 7",
+            ),
+            (
+                lambda lines: read_corpus(lines, "dau-int", dau_vocabulary(4)),
+                "5", ValidationError, "line 3: id 5 is a reserved special token",
+            ),
+            (
+                lambda lines: read_corpus(lines, "symbolic", symbolic_vocabulary(["0", "1", "2", "3"])),
+                "q", ValidationError, "line 3: unknown label 'q'",
+            ),
+            (
+                lambda lines: read_corpus(lines, "symbolic", symbolic_vocabulary(["0", "1", "2", "3"])),
+                "<eos>", ValidationError, "line 3: label '<eos>' is a reserved special token",
+            ),
+            (lambda lines: read_corpus(lines, "symbolic"), "<bos>", ValidationError, "label '<bos>' is reserved"),
+            (read_token_lines, "4.0", ParseError, "line 3: non-integer token '4.0'"),
+        ],
+        ids=[
+            "non-integer", "negative", "out-of-range", "dau-special", "unknown-label", "special-label",
+            "inferred-reserved-label", "token-line-non-integer",
+        ],
+    )
+    def test_bad_token_on_line_3_message(self, parse, bad, error, message):
+        with pytest.raises(error) as err:
+            parse(["0 1", "", f"2 {bad} 3"])
+        assert type(err.value) is error
+        assert str(err.value) == message
 
 
 class TestBoundarySplitting:

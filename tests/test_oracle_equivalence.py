@@ -10,6 +10,7 @@ from unitbpe import (
     Corpus,
     Merge,
     MergeTable,
+    TokenSequence,
     TrainOptions,
     UnitSequence,
     dau_vocabulary,
@@ -172,3 +173,9 @@ class TestUntrainedTables:
         assert [encode(seq, table) for seq in corpus.sequences] == expected
         assert list(encode_corpus(corpus, table).sequences) == expected
         assert [decode(t, table) for t in expected] == list(corpus.sequences)
+        # Any token stream decodes to its surface concatenation, not only
+        # encoder output: specials and unencodable orders included.
+        for ts in drawn:
+            assert decode(TokenSequence(tuple(ts)), table).units == tuple(
+                u for t in ts for u in table.token_surface(t)
+            )
