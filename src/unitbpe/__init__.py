@@ -4,7 +4,15 @@ Train byte-pair-style merge vocabularies over quantized acoustic unit or
 phoneme sequences, apply and invert them losslessly, and measure what the
 re-tokenization does to sequence length, distribution balance, and
 downstream error trade-offs.
+
+The tokenizer core (``bpe``, ``codec``, ``corpus``, ``errors``) loads with
+the package. The analyses (``metrics``), the reference implementations
+(``oracle``) and the synthetic generators (``synth``) load on first use of
+one of their names, so a process that only trains or applies tables never
+pays for them.
 """
+
+from importlib import import_module
 
 from .bpe import (
     Merge,
@@ -35,83 +43,68 @@ from .corpus import (
     symbolic_vocabulary,
 )
 from .errors import ContractError, ParseError, UnitBpeError, ValidationError
-from .metrics import (
-    AnalysisReport,
-    Distribution,
-    EditDistance,
-    RunLengthStats,
-    analyze,
-    bit_increase,
-    compression,
-    corpus_run_length_mean,
-    edge_case_probability,
-    edit_distance,
-    entropy,
-    error_rate,
-    normalized_entropy,
-    reduction,
-    run_length_stats,
-    token_distribution,
-)
-from .oracle import naive_encode, naive_train
-from .synth import RunLengthSpec, SplitMix64, ZipfSpec, gen_runlength_corpus, gen_zipf_corpus
 
 __version__ = "0.1.0"
 
+# Public names of the modules loaded on first use, by module.
+_LAZY = {
+    "metrics": (
+        "AnalysisReport", "Distribution", "EditDistance", "RunLengthStats", "analyze",
+        "bit_increase", "compression", "corpus_run_length_mean", "edge_case_probability",
+        "edit_distance", "entropy", "error_rate", "normalized_entropy", "reduction",
+        "run_length_stats", "token_distribution",
+    ),
+    "oracle": ("naive_encode", "naive_train"),
+    "synth": ("RunLengthSpec", "SplitMix64", "ZipfSpec", "gen_runlength_corpus", "gen_zipf_corpus"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULE})
+
+
 __all__ = [
-    "AnalysisReport",
     "BaseVocabulary",
     "ContractError",
     "Corpus",
     "CorpusStats",
-    "Distribution",
-    "EditDistance",
     "EncodedCorpus",
     "Merge",
     "MergeTable",
     "ParseError",
-    "RunLengthSpec",
-    "RunLengthStats",
-    "SplitMix64",
     "TokenSequence",
     "TrainOptions",
     "UnitBpeError",
     "UnitSequence",
     "UnitSymbol",
     "ValidationError",
-    "ZipfSpec",
-    "analyze",
-    "bit_increase",
-    "compression",
-    "corpus_run_length_mean",
     "corpus_stats",
     "dau_vocabulary",
     "decode",
-    "edge_case_probability",
-    "edit_distance",
     "encode",
     "encode_corpus",
-    "entropy",
-    "error_rate",
-    "gen_runlength_corpus",
-    "gen_zipf_corpus",
     "join_chunks",
     "load_corpus",
     "load_merge_table",
     "load_vocabulary",
-    "naive_encode",
-    "naive_train",
-    "normalized_entropy",
     "pair_counts",
     "parse_merge_table",
     "read_corpus",
-    "reduction",
-    "run_length_stats",
     "save_corpus",
     "save_merge_table",
     "save_vocabulary",
     "split_on_boundaries",
     "symbolic_vocabulary",
-    "token_distribution",
     "train",
+    *_LAZY_MODULE,
 ]

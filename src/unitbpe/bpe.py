@@ -25,8 +25,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import BaseVocabulary, Corpus, dau_vocabulary, read_lines
 from .errors import ContractError, ParseError, ValidationError
@@ -34,12 +35,13 @@ from .errors import ContractError, ParseError, ValidationError
 MERGE_FILE_MAGIC = "unitbpe-v1"
 
 
-@dataclass(frozen=True)
-class Merge:
+class Merge(NamedTuple):
     """One merge rule: adjacent (left, right) becomes the token ``result``.
 
     Ranks are dense 0-based creation order; result ids extend the base
     vocabulary, so rule ``rank`` always produces token ``base_size + rank``.
+    A named tuple, so it also unpacks and compares as ``(rank, left, right,
+    result)``.
     """
 
     rank: int
@@ -84,6 +86,7 @@ class MergeTable:
 
     def __post_init__(self):
         base_size = len(self.base)
+        blocked = self.base.special if self.boundary is None else self.base.special | {self.boundary}
         seen_pairs = set()
         for i, m in enumerate(self.merges):
             if m.rank != i:
@@ -92,16 +95,17 @@ class MergeTable:
                 raise ValidationError(
                     f"merge {i}: result {m.result} != base size {base_size} + rank {i}"
                 )
-            for side in (m.left, m.right):
+            pair = (m.left, m.right)
+            for side in pair:
                 if not 0 <= side < m.result:
                     raise ValidationError(f"merge {i}: token id {side} not yet defined")
-                if side < base_size and self.base.is_special(side):
-                    raise ValidationError(f"merge {i}: special token {side} may not be merged")
-                if self.boundary is not None and side == self.boundary:
+                if side in blocked:
+                    if self.base.is_special(side):
+                        raise ValidationError(f"merge {i}: special token {side} may not be merged")
                     raise ValidationError(f"merge {i}: boundary unit {side} may not be merged")
-            if (m.left, m.right) in seen_pairs:
+            if pair in seen_pairs:
                 raise ValidationError(f"merge {i}: duplicate pair ({m.left}, {m.right})")
-            seen_pairs.add((m.left, m.right))
+            seen_pairs.add(pair)
 
     @property
     def base_size(self) -> int:
@@ -332,6 +336,8 @@ def save_merge_table(table: MergeTable, dest) -> None:
 def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = None) -> MergeTable:
     """Build a MergeTable from merge-file lines, validating every invariant.
 
+    The rows are parsed with one ``int`` pass over all their fields; only a
+    file with a malformed row is walked row by row, to name the first one.
     When no vocabulary is supplied one is synthesized for boundary-free
     tables (numeric labels plus the standard specials); tables that record
     a boundary label need the real vocabulary to resolve it.
@@ -365,6 +371,15 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
     if boundary_label is not None:
         boundary = vocabulary.id_of(boundary_label)
 
+    fields = list(map(str.split, rows[3:]))
+    if set(map(len, fields)) <= {4}:
+        try:
+            nums = list(map(int, chain.from_iterable(fields)))
+        except ValueError:
+            pass  # the loop below names the row
+        else:
+            columns = zip(nums[0::4], nums[1::4], nums[2::4], nums[3::4])
+            return MergeTable(vocabulary, tuple(map(Merge._make, columns)), boundary=boundary)
     merges = []
     for lineno, row in enumerate(rows[3:], start=4):
         if not row.strip():

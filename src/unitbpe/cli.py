@@ -7,18 +7,21 @@ failures (messages name the offending line or id), 2 on usage errors.
 analyze take the boundary label from the merge file, so only train and
 stats accept --boundary/--no-boundary. No subcommand draws hidden
 randomness; generators require an explicit --seed.
+
+The analysis, reference and generator modules (and json) are imported
+inside the subcommands that use them, so train, encode and decode start
+without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from typing import IO
 
-from . import bpe, codec, metrics, oracle, synth
+from . import bpe, codec
 from .corpus import (
     DEFAULT_BOUNDARY_LABEL,
     FORMAT_DAU,
@@ -190,7 +193,8 @@ def _cmd_train(args) -> int:
         min_pair_count=args.min_pair_count,
     )
     if args.oracle:
-        table = oracle.naive_train(corpus, options)
+        from .oracle import naive_train
+        table = naive_train(corpus, options)
     else:
         table = bpe.train(corpus, options, threads=args.threads)
     if args.save_vocab:
@@ -211,7 +215,8 @@ def _cmd_encode(args) -> int:
     table = _load_table(args)
     corpus = _read_corpus(args, table.base)
     if args.oracle:
-        sequences = tuple(oracle.naive_encode(seq, table) for seq in corpus.sequences)
+        from .oracle import naive_encode
+        sequences = tuple(naive_encode(seq, table) for seq in corpus.sequences)
     else:
         sequences = codec.encode_corpus(corpus, table, threads=args.threads).sequences
     with _out_stream(args.out) as out:
@@ -240,9 +245,13 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    import json
+
+    from .metrics import corpus_run_length_mean
+
     corpus = _read_corpus(args)
     cs = corpus_stats(corpus)
-    run_mean = metrics.corpus_run_length_mean(s.units for s in corpus.sequences)
+    run_mean = corpus_run_length_mean(s.units for s in corpus.sequences)
     record = dict(asdict(cs), run_length_mean=run_mean)
     with _out_stream(args.out) as out:
         if args.json:
@@ -253,18 +262,24 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .metrics import analyze
+
     if args.threads < 1:
         raise ContractError("threads must be at least 1")
     table = _load_table(args)
-    report = metrics.analyze(_read_corpus(args, table.base), table)
+    report = analyze(_read_corpus(args, table.base), table)
     with _out_stream(args.out) as out:
         out.write(report.to_json() + "\n" if args.json else report.to_text())
     return 0
 
 
 def _cmd_tradeoff(args) -> int:
+    import json
+
+    from .metrics import edge_case_probability
+
     rows = [
-        {"eps": eps, "n": n, "probability": metrics.edge_case_probability(eps, n)}
+        {"eps": eps, "n": n, "probability": edge_case_probability(eps, n)}
         for eps in args.eps
         for n in args.n
     ]
@@ -277,6 +292,8 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import synth
+
     if args.kind == "zipf":
         spec = synth.ZipfSpec(
             seed=args.seed,

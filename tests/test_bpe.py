@@ -12,6 +12,7 @@ from unitbpe import (
     MergeTable,
     ParseError,
     TrainOptions,
+    UnitBpeError,
     UnitSequence,
     ValidationError,
     dau_vocabulary,
@@ -182,6 +183,13 @@ class TestMergeTableInvariants:
         assert table.token_surface(n + 1) == (0, 1, 2)
         assert table.token_label(n + 1) == "a+b+c"
 
+    def test_rules_must_be_merges(self):
+        # A plain 4-tuple has no named fields: the table fails where it is
+        # built, not on first use of the rules.
+        vocab = letters("a", "b")
+        with pytest.raises(AttributeError):
+            MergeTable(vocab, ((0, 0, 1, len(vocab)),))
+
     def test_ranks_must_be_dense(self):
         vocab = letters("a", "b")
         with pytest.raises(ValidationError):
@@ -265,3 +273,55 @@ class TestMergeTableFile:
         path.write_text("unitbpe-v1\n9\n\n", encoding="utf-8")
         with pytest.raises(ValidationError):
             load_merge_table(path, vocab)
+
+
+# A valid file over a, b, c, boundary _ (id 3) and specials 4-6: base 7,
+# three merges on lines 4-6. Each case replaces line 5 (rank 1).
+_VALID_FILE = ["unitbpe-v1", "7", "_", "0 0 1 7", "1 7 2 8", "2 8 0 9"]
+
+
+class TestMergeFileErrors:
+    @pytest.mark.parametrize(
+        "row, error, message, line",
+        [
+            ("", ParseError, "line 5: blank merge row", 5),
+            ("1 7 2", ParseError, "line 5: expected 4 fields, got 3", 5),
+            ("1 7 2 8 9", ParseError, "line 5: expected 4 fields, got 5", 5),
+            ("1 7 x 8", ParseError, "line 5: non-integer field in merge row '1 7 x 8'", 5),
+            ("2 7 2 8", ValidationError, "merge rank 2 at position 1: ranks must be dense", None),
+            ("1 7 2 9", ValidationError, "merge 1: result 9 != base size 7 + rank 1", None),
+            ("1 8 2 8", ValidationError, "merge 1: token id 8 not yet defined", None),
+            ("1 -1 2 8", ValidationError, "merge 1: token id -1 not yet defined", None),
+            ("1 5 2 8", ValidationError, "merge 1: special token 5 may not be merged", None),
+            ("1 7 3 8", ValidationError, "merge 1: boundary unit 3 may not be merged", None),
+            ("1 0 1 8", ValidationError, "merge 1: duplicate pair (0, 1)", None),
+        ],
+        ids=["blank", "3-fields", "5-fields", "non-integer", "rank-not-dense", "result-not-base-plus-rank",
+             "undefined-side", "negative-side", "special-side", "boundary-side", "duplicate-pair"],
+    )
+    def test_bad_row_on_line_5(self, row, error, message, line):
+        vocab = letters("a", "b", "c", boundary="_")
+        parse_merge_table(_VALID_FILE, vocab)  # the file is valid without the bad row
+        lines = [*_VALID_FILE[:4], row, *_VALID_FILE[5:]]
+        with pytest.raises(UnitBpeError) as err:
+            parse_merge_table(lines, vocab)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        assert getattr(err.value, "line", None) == line
+
+    @pytest.mark.parametrize(
+        "lines, message, line",
+        [
+            (["unitbpe-v0", *_VALID_FILE[1:]], "line 1: missing magic header 'unitbpe-v1'", 1),
+            (_VALID_FILE[:2], "line 2: truncated header: need base size and boundary label lines", 2),
+            (["unitbpe-v1", "seven", *_VALID_FILE[2:]],
+             "line 2: base vocabulary size must be an integer, got 'seven'", 2),
+            (["unitbpe-v1", "-7", *_VALID_FILE[2:]], "line 2: base vocabulary size must be non-negative", 2),
+        ],
+        ids=["missing-magic", "truncated-header", "non-integer-base-size", "negative-base-size"],
+    )
+    def test_bad_header(self, lines, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_merge_table(lines, letters("a", "b", "c", boundary="_"))
+        assert str(err.value) == message
+        assert err.value.line == line

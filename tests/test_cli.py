@@ -2,16 +2,32 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import unitbpe
 from unitbpe.cli import main
+
+LAZY_MODULES = {"unitbpe.metrics", "unitbpe.oracle", "unitbpe.synth"}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter over this package, where nothing is imported
+    yet: in this process pytest has already imported every module."""
+    path = [str(Path(unitbpe.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture()
@@ -302,3 +318,57 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--boundary" in capsys.readouterr().err
         assert not out.exists() and not vocab.exists()
+
+
+class TestFreshInterpreter:
+    def test_train_encode_decode_never_load_lazy_modules(self, tmp_path, dau_corpus):
+        merges, tok, back = tmp_path / "m.bpe", tmp_path / "tok.txt", tmp_path / "back.txt"
+        for argv in (
+            ["train", "--input", str(dau_corpus), "--target-size", "8", "--out", str(merges)],
+            ["encode", "--input", str(dau_corpus), "--merges", str(merges), "--out", str(tok)],
+            ["decode", "--input", str(tok), "--merges", str(merges), "--out", str(back)],
+        ):
+            # -X importtime writes one stderr line per module imported.
+            proc = run_fresh("-X", "importtime", "-m", "unitbpe", *argv)
+            assert proc.returncode == 0, proc.stderr
+            loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+            assert "unitbpe.cli" in loaded
+            assert not loaded & LAZY_MODULES, argv[0]
+        assert back.read_bytes() == dau_corpus.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["train --oracle", "encode --oracle", "stats --json", "analyze --json", "tradeoff --json", "synth runlength"],
+    )
+    def test_commands_that_load_lazy_modules(self, capsys, tmp_path, dau_corpus, trained, command):
+        argv = {
+            "train --oracle": ["train", "--input", str(dau_corpus), "--target-size", "8", "--oracle"],
+            "encode --oracle": ["encode", "--input", str(dau_corpus), "--merges", str(trained), "--oracle"],
+            "stats --json": ["stats", "--input", str(dau_corpus), "--json"],
+            "analyze --json": ["analyze", "--input", str(dau_corpus), "--merges", str(trained), "--json"],
+            "tradeoff --json": ["tradeoff", "--eps", "0.1", "--n", "10", "--json"],
+            "synth runlength": ["synth", "runlength", "--seed", "3", "--clusters", "4", "--sequences", "2",
+                                "--length", "6"],
+        }[command]
+        proc = run_fresh("-m", "unitbpe", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == run(capsys, *argv)[1:]
+
+    def test_public_names_resolve_on_first_use(self):
+        script = f"""
+            import sys
+            import unitbpe
+            lazy = {sorted(LAZY_MODULES)!r}
+            assert not set(lazy) & set(sys.modules), "loaded with the package"
+            assert [n for n in unitbpe.__all__ if n not in dir(unitbpe)] == []
+            for name in unitbpe.__all__:
+                getattr(unitbpe, name)
+            assert set(lazy) <= set(sys.modules)
+            try:
+                unitbpe.no_such_name
+            except AttributeError as exc:
+                print(exc)
+        """
+        proc = run_fresh("-c", textwrap.dedent(script))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "module 'unitbpe' has no attribute 'no_such_name'\n"

@@ -1,6 +1,7 @@
 """The slow reference implementations define correctness; the fast trainer
 and encoder must match them exactly on randomized inputs."""
 
+import io
 import random
 
 from hypothesis import given, settings
@@ -19,10 +20,13 @@ from unitbpe import (
     encode_corpus,
     naive_encode,
     naive_train,
+    parse_merge_table,
     read_corpus,
+    save_merge_table,
     symbolic_vocabulary,
     train,
 )
+from unitbpe.codec import token_lines
 from tests.conftest import random_corpus, random_sequence
 
 
@@ -179,3 +183,14 @@ class TestUntrainedTables:
             assert decode(TokenSequence(tuple(ts)), table).units == tuple(
                 u for t in ts for u in table.token_surface(t)
             )
+        # Surface rendering of encoder output and of any token stream.
+        streams = [*expected, *(TokenSequence(tuple(ts)) for ts in drawn)]
+        labels = [[table.token_label(t) for t in seq.tokens] for seq in streams]
+        assert list(token_lines(streams, table, surfaces=True)) == [" ".join(row) for row in labels]
+
+    @settings(max_examples=100, deadline=None)
+    @given(untrained_tables())
+    def test_merge_file_round_trip(self, table):
+        buf = io.StringIO()
+        save_merge_table(table, buf)
+        assert parse_merge_table(buf.getvalue().splitlines(), table.base) == table
