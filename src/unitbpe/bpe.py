@@ -12,10 +12,13 @@ units (specials, and the boundary when respected) and keeps one copy of each
 distinct chunk, weighted by how often it occurs. This is exact because no
 merge crosses a blocked unit, so every copy of a chunk is rewritten the same
 way. Over those chunks it keeps a linked list, a weighted count per pair,
-append-only lists of the positions where each pair was seen (re-checked when
-used), and a lazy max-heap. Its contract is defined by equivalence with the
-reference implementation that rescans the corpus every iteration (see the
-oracle module).
+append-only arrays of the positions where each pair was seen (re-checked
+when used), and a lazy max-heap. Each pair is one packed int, the left id in
+its high bits, so keys compare as the pairs do. The pairs a merge creates are
+counted in a table local to its pass; only those that reach
+``min_pair_count`` enter the shared counts, position arrays and heap. Its
+contract is defined by equivalence with the reference implementation that
+rescans the corpus every iteration (see the oracle module).
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .corpus import BaseVocabulary, Corpus, dau_vocabulary, read_lines
+from .corpus import BaseVocabulary, Corpus, dau_vocabulary, read_lines, split_chunks
 from .errors import ContractError, ParseError, ValidationError
 
 MERGE_FILE_MAGIC = "unitbpe-v1"
@@ -182,20 +185,6 @@ def _blocked_ids(vocabulary: BaseVocabulary, respect_boundaries: bool) -> tuple[
     return blocked, boundary
 
 
-def split_chunks(units: tuple[int, ...], blocked: set[int]) -> Iterator[tuple[int, ...]]:
-    """The runs of units between blocked ids, in order, empty runs included:
-    a sequence with n blocked units yields n + 1 chunks."""
-    if blocked.isdisjoint(units):
-        yield units
-        return
-    start = 0
-    for k, uid in enumerate(units):
-        if uid in blocked:
-            yield units[start:k]
-            start = k + 1
-    yield units[start:]
-
-
 def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable:
     """Learn a MergeTable from a corpus (the fast trainer).
 
@@ -218,13 +207,18 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
         chunk for seq in corpus.sequences for chunk in split_chunks(seq.units, blocked) if len(chunk) > 1
     )
 
+    # Each pair is keyed by one int, left << shift | right. Every id is below
+    # target_size, so keys order exactly as (left, right) pairs do.
+    shift = max(1, (options.target_size - 1).bit_length())
+    min_count = options.min_pair_count
+
     # Flattened doubly linked list over the distinct chunks, with the chunk's
     # weight at every node; val -1 marks dead nodes. cnt holds each live
     # pair's weighted count; where lists the left-node positions the pair was
     # ever seen at, so entries go stale and are re-checked when used.
     val, nxt, prv, wt = array("q"), array("q"), array("q"), array("q")
-    cnt: dict[tuple[int, int], int] = {}
-    where: dict[tuple[int, int], array] = {}
+    cnt: dict[int, int] = {}
+    where: dict[int, array] = {}
     for chunk, w in chunks.items():
         start = len(val)
         end = start + len(chunk)
@@ -234,42 +228,50 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
         prv.append(-1)
         prv.extend(range(start, end - 1))
         wt.extend([w] * len(chunk))
-        for i, pair in enumerate(zip(chunk, chunk[1:]), start):
-            cnt[pair] = cnt.get(pair, 0) + w
-            sites = where.get(pair)
+        for i, (x, y) in enumerate(zip(chunk, chunk[1:]), start):
+            key = x << shift | y
+            cnt[key] = cnt.get(key, 0) + w
+            sites = where.get(key)
             if sites is None:
-                where[pair] = array("q", (i,))
+                where[key] = array("q", (i,))
             else:
                 sites.append(i)
 
-    # Lazy max-heap of (-count, left, right); stale entries are dropped or
-    # refreshed on pop. Counts of existing pairs only ever decrease, and
-    # merges only create pairs involving the brand-new token, so one push
-    # per new key plus refresh-on-pop keeps the top exact. A new pair rarer
-    # than min_pair_count can never be chosen, so its count and positions
-    # are dropped and later decrements of it are skipped.
-    heap: list[tuple[int, int, int]] = [(-c, k[0], k[1]) for k, c in cnt.items()]
+    # Lazy max-heap of (-count, key); stale entries are dropped or refreshed
+    # on pop. Counts of existing pairs only ever decrease, and a merge only
+    # creates pairs that contain its new token, so one push per new key plus
+    # refresh-on-pop keeps the top exact. A pair rarer than min_pair_count
+    # can never be chosen, so it is kept out of cnt, and later decrements of
+    # it are skipped.
+    heap = [(-c, key) for key, c in cnt.items()]
     heapq.heapify(heap)
 
     merges: list[Merge] = []
     while base_size + len(merges) < options.target_size:
-        best: tuple[int, int] | None = None
+        best = None
         while heap:
-            neg, a, b = heapq.heappop(heap)
-            actual = cnt.get((a, b), 0)
+            neg, key = heapq.heappop(heap)
+            actual = cnt.get(key, 0)
             if actual != -neg:
-                if actual >= options.min_pair_count:
-                    heapq.heappush(heap, (-actual, a, b))
+                if actual >= min_count:
+                    heapq.heappush(heap, (-actual, key))
                 continue
-            if actual >= options.min_pair_count:
-                best = (a, b)
+            if actual >= min_count:
+                best = key
             break
         if best is None:
             break
-        a, b = best
+        a, b = divmod(best, 1 << shift)
         z = base_size + len(merges)
-        touched: set[tuple[int, int]] = set()
-        for i in sorted(where.pop(best)):
+        zkey = z << shift
+        # The pairs this pass creates all contain z, so none is in cnt yet.
+        # new maps each to [weighted count, positions...]; only those that
+        # reach min_count join cnt, where and the heap after the pass.
+        new: dict[int, list[int]] = {}
+        # A position array is filled in one phase only, the index build or
+        # the pass that created its pair, and both append positions left to
+        # right; nodes never move, so the array is already in sequence order.
+        for i in where.pop(best):
             j = nxt[i]
             # Skip stale entries and overlap victims: the node died or was
             # rewritten, possibly by the previous replacement in this pass.
@@ -283,30 +285,39 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
             nxt[j] = prv[j] = -1
             if p != -1:
                 x = val[p]
-                key = (x, a)
-                if key in cnt:
+                key = x << shift | a
+                if x == z:
+                    # (z, a) was made by the previous replacement, as in a b a b.
+                    new[key][0] -= w
+                elif key in cnt:
                     cnt[key] -= w
-                key = (x, z)
-                cnt[key] = cnt.get(key, 0) + w
-                where.setdefault(key, array("q")).append(p)
-                touched.add(key)
+                key = x << shift | z
+                entry = new.get(key)
+                if entry is None:
+                    new[key] = [w, p]
+                else:
+                    entry[0] += w
+                    entry.append(p)
             if q != -1:
                 prv[q] = i
                 y = val[q]
-                key = (b, y)
+                key = b << shift | y
                 if key in cnt:
                     cnt[key] -= w
-                key = (z, y)
-                cnt[key] = cnt.get(key, 0) + w
-                where.setdefault(key, array("q")).append(i)
-                touched.add(key)
+                key = zkey | y
+                entry = new.get(key)
+                if entry is None:
+                    new[key] = [w, i]
+                else:
+                    entry[0] += w
+                    entry.append(i)
         del cnt[best]
-        for key in touched:
-            c = cnt[key]
-            if c >= options.min_pair_count:
-                heapq.heappush(heap, (-c, key[0], key[1]))
-            else:
-                del cnt[key], where[key]
+        for key, entry in new.items():
+            c = entry[0]
+            if c >= min_count:
+                cnt[key] = c
+                where[key] = array("q", entry[1:])
+                heapq.heappush(heap, (-c, key))
         merges.append(Merge(len(merges), a, b, z))
 
     return MergeTable(vocab, tuple(merges), boundary=boundary)

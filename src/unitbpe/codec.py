@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .bpe import MergeTable, split_chunks
-from .corpus import Corpus, UnitSequence, parse_id_line
+from .bpe import MergeTable
+from .corpus import Corpus, UnitSequence, parse_id_line, split_chunks
 from .errors import ContractError, ValidationError
 
 

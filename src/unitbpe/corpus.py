@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import ContractError, ParseError, ValidationError
 
@@ -161,12 +161,15 @@ def load_vocabulary(
     path: str | Path, boundary_label: str | None = DEFAULT_BOUNDARY_LABEL
 ) -> BaseVocabulary:
     """Read a sidecar vocabulary file: one content label per line, line
-    number = unit id."""
+    number = unit id. A label holding whitespace is rejected: corpus
+    tokens are split on whitespace, so no corpus line could contain it."""
     labels = []
     for i, line in enumerate(read_lines(path), start=1):
         label = line.strip()
         if not label:
             raise ParseError("empty label", line=i)
+        if label.split() != [label]:
+            raise ParseError(f"label must be one token without whitespace, got {label!r}", line=i)
         labels.append(label)
     return symbolic_vocabulary(labels, boundary_label)
 
@@ -337,6 +340,20 @@ def save_corpus(corpus: Corpus, dest: str | Path | IO[str], format: str) -> None
                 fh.write(line + "\n")
 
 
+def split_chunks(units: tuple[int, ...], blocked: set[int]) -> Iterator[tuple[int, ...]]:
+    """The runs of units between blocked ids, in order, empty runs included:
+    a sequence with n blocked units yields n + 1 chunks."""
+    if blocked.isdisjoint(units):
+        yield units
+        return
+    start = 0
+    for k, uid in enumerate(units):
+        if uid in blocked:
+            yield units[start:k]
+            start = k + 1
+    yield units[start:]
+
+
 def split_on_boundaries(seq: UnitSequence, vocabulary: BaseVocabulary) -> list[UnitSequence]:
     """Split a sequence at every boundary unit, dropping the boundaries.
 
@@ -345,17 +362,7 @@ def split_on_boundaries(seq: UnitSequence, vocabulary: BaseVocabulary) -> list[U
     """
     if vocabulary.boundary is None:
         raise ContractError("vocabulary has no boundary unit")
-    b = vocabulary.boundary
-    chunks: list[UnitSequence] = []
-    current: list[int] = []
-    for uid in seq.units:
-        if uid == b:
-            chunks.append(UnitSequence(tuple(current)))
-            current = []
-        else:
-            current.append(uid)
-    chunks.append(UnitSequence(tuple(current)))
-    return chunks
+    return list(map(UnitSequence, split_chunks(seq.units, {vocabulary.boundary})))
 
 
 def join_chunks(chunks: Iterable[UnitSequence], boundary: int) -> UnitSequence:

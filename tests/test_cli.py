@@ -319,6 +319,18 @@ class TestExitCodes:
         assert "--boundary" in capsys.readouterr().err
         assert not out.exists() and not vocab.exists()
 
+    def test_sidecar_label_with_whitespace_is_1_with_line(self, capsys, tmp_path):
+        # Corpus tokens are split on whitespace, so the label "b c" could
+        # never occur in a corpus, and decode could not write it readably.
+        corpus, vocab, out = tmp_path / "c.txt", tmp_path / "c.vocab", tmp_path / "c.bpe"
+        corpus.write_text("a a _ a a\n", encoding="utf-8")
+        vocab.write_text("a\nb c\n", encoding="utf-8")
+        code, _, err = run(capsys, "train", "--input", str(corpus), "--format", "symbolic",
+                           "--vocab", str(vocab), "--target-size", "8", "--out", str(out))
+        assert code == 1
+        assert err == "unitbpe: error: line 2: label must be one token without whitespace, got 'b c'\n"
+        assert not out.exists()
+
 
 class TestFreshInterpreter:
     def test_train_encode_decode_never_load_lazy_modules(self, tmp_path, dau_corpus):

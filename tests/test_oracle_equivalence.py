@@ -52,15 +52,34 @@ class TestReferenceBehavior:
         assert naive_encode(corpus.sequences[0], table).tokens == (len(vocab), len(vocab), 2)
 
 
+def wide_id_corpus(rng: random.Random) -> tuple[Corpus, int]:
+    """A dau-int corpus whose vocabulary size is within 3 of 256 or 1024,
+    over its few highest content ids, plus that power of two. Training past
+    it makes pair ids fill the trainer's packed pair keys."""
+    power = rng.choice([256, 1024])
+    vocab = dau_vocabulary(power + rng.randint(-3, 3) - 3)
+    top = vocab.content_ids()[-rng.randint(1, 4):]
+    sequences = (
+        UnitSequence(tuple(rng.choice(top) for _ in range(rng.randint(0, 30))))
+        for _ in range(rng.randint(0, 50))
+    )
+    return Corpus(vocab, tuple(sequences)), power
+
+
 class TestEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_fast_trainer_matches_reference(self, data):
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = random.Random(seed)
-        corpus = random_corpus(rng, with_boundary=rng.random() < 0.5)
+        if rng.random() < 0.3:
+            corpus, power = wide_id_corpus(rng)
+            size = max(len(corpus.vocabulary), power)
+        else:
+            corpus = random_corpus(rng, with_boundary=rng.random() < 0.5)
+            size = len(corpus.vocabulary)
         options = TrainOptions(
-            target_size=len(corpus.vocabulary) + rng.randint(1, 20),
+            target_size=size + rng.randint(1, 20),
             respect_boundaries=rng.random() < 0.8,
             min_pair_count=rng.choice([1, 2, 3]),
         )
