@@ -26,13 +26,12 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .corpus import BaseVocabulary, Corpus, dau_vocabulary, read_lines, split_chunks
+from .corpus import BaseVocabulary, Corpus, Record, dau_vocabulary, read_lines, split_chunks
 from .errors import ContractError, ParseError, ValidationError
 
 MERGE_FILE_MAGIC = "unitbpe-v1"
@@ -53,8 +52,7 @@ class Merge(NamedTuple):
     result: int
 
 
-@dataclass(frozen=True)
-class TrainOptions:
+class TrainOptions(Record):
     """Knobs for vocabulary induction.
 
     target_size is the desired |Z| (base units plus merges). When
@@ -64,17 +62,17 @@ class TrainOptions:
     is fixed: equal counts resolve to the smallest (left, right) id pair.
     """
 
-    target_size: int
-    respect_boundaries: bool = True
-    min_pair_count: int = 2
+    __slots__ = _fields = ("target_size", "respect_boundaries", "min_pair_count")
 
-    def __post_init__(self):
+    def __init__(self, target_size: int, respect_boundaries: bool = True, min_pair_count: int = 2):
+        object.__setattr__(self, "target_size", target_size)
+        object.__setattr__(self, "respect_boundaries", respect_boundaries)
+        object.__setattr__(self, "min_pair_count", min_pair_count)
         if self.min_pair_count < 1:
             raise ContractError("min_pair_count must be at least 1")
 
 
-@dataclass(frozen=True)
-class MergeTable:
+class MergeTable(Record):
     """An ordered list of merges over a base vocabulary.
 
     ``boundary`` records the barrier actually enforced when the table was
@@ -83,11 +81,12 @@ class MergeTable:
     never mix the boundary with other units.
     """
 
-    base: BaseVocabulary
-    merges: tuple[Merge, ...]
-    boundary: int | None = None
+    _fields = ("base", "merges", "boundary")
 
-    def __post_init__(self):
+    def __init__(self, base: BaseVocabulary, merges: tuple[Merge, ...], boundary: int | None = None):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "merges", merges)
+        object.__setattr__(self, "boundary", boundary)
         base_size = len(self.base)
         blocked = self.base.special if self.boundary is None else self.base.special | {self.boundary}
         seen_pairs = set()

@@ -10,7 +10,9 @@ randomness; generators require an explicit --seed.
 
 The analysis, reference and generator modules (and json) are imported
 inside the subcommands that use them, so train, encode and decode start
-without them.
+without them. The package's records are plain classes rather than
+dataclasses, so no subcommand imports ``dataclasses`` (or the ``inspect``
+it pulls in) or builds methods with ``exec`` as it starts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from typing import IO
 
 from . import bpe, codec
@@ -35,6 +36,7 @@ from .corpus import (
     read_corpus,
     read_lines,
     save_vocabulary,
+    sequence_lines,
 )
 from .errors import ContractError, UnitBpeError, ValidationError
 
@@ -185,6 +187,17 @@ def _load_table(args) -> bpe.MergeTable:
     return bpe.parse_merge_table(lines, vocab)
 
 
+def _stop_reason(corpus: Corpus, table: bpe.MergeTable, min_pair_count: int) -> str:
+    """Why training stopped short of its target. Encoding the training
+    corpus with the finished table reproduces the trainer's last state
+    (README, "Semantics"), so these are the pair counts it stopped on."""
+    encoded = codec.encode_corpus(corpus, table).sequences
+    counts = bpe.pair_counts(encoded, table.boundary, table.base.special)
+    if not counts:
+        return "no pair is left to merge"
+    return f"the best remaining pair has count {max(counts.values())}, below --min-pair-count {min_pair_count}"
+
+
 def _cmd_train(args) -> int:
     corpus = _read_corpus(args)
     options = bpe.TrainOptions(
@@ -204,8 +217,7 @@ def _cmd_train(args) -> int:
     if table.vocab_size < args.target_size:
         print(
             f"unitbpe: note: stopped after {len(table.merges)} merges at |Z| = {table.vocab_size},"
-            f" short of --target-size {args.target_size}:"
-            f" no remaining pair reaches --min-pair-count {args.min_pair_count}",
+            f" short of --target-size {args.target_size}: {_stop_reason(corpus, table, args.min_pair_count)}",
             file=sys.stderr,
         )
     return 0
@@ -226,7 +238,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     """Decode token lines. Unlike library decode, a special id is an error:
-    the output must be a corpus file, and those never hold specials."""
+    the output must be a corpus file, and those never hold specials. Every
+    id is checked here, so the units are rendered without a Corpus."""
     table = _load_table(args)
     special = table.base.special
     sequences = []
@@ -238,9 +251,8 @@ def _cmd_decode(args) -> int:
         if not special.isdisjoint(tokens.tokens):
             bad = next(t for t in tokens.tokens if t in special)
             raise ValidationError(f"line {lineno}: token id {bad} is a reserved special token")
-    decoded = Corpus(table.base, tuple(sequences), source=args.input)
     with _out_stream(args.out) as out:
-        _write_lines(out, corpus_lines(decoded, args.format))
+        _write_lines(out, sequence_lines(sequences, table.base, args.format))
     return 0
 
 
@@ -252,7 +264,7 @@ def _cmd_stats(args) -> int:
     corpus = _read_corpus(args)
     cs = corpus_stats(corpus)
     run_mean = corpus_run_length_mean(s.units for s in corpus.sequences)
-    record = dict(asdict(cs), run_length_mean=run_mean)
+    record = dict(cs._asdict(), run_length_mean=run_mean)
     with _out_stream(args.out) as out:
         if args.json:
             out.write(json.dumps(record, indent=2) + "\n")
@@ -264,8 +276,6 @@ def _cmd_stats(args) -> int:
 def _cmd_analyze(args) -> int:
     from .metrics import analyze
 
-    if args.threads < 1:
-        raise ContractError("threads must be at least 1")
     table = _load_table(args)
     report = analyze(_read_corpus(args, table.base), table)
     with _out_stream(args.out) as out:
@@ -338,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.boundary.split() != [args.boundary]:
             parser.error(f"--boundary must be one label without whitespace, got {args.boundary!r}")
     try:
+        # train, encode and analyze accept --threads; --oracle never reads it.
+        if getattr(args, "threads", 1) < 1:
+            raise ContractError("threads must be at least 1")
         return _COMMANDS[args.command](args)
     except (UnitBpeError, OSError) as exc:
         print(f"unitbpe: error: {exc}", file=sys.stderr)

@@ -12,21 +12,22 @@ themselves and merged ids expand through the table.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .bpe import MergeTable
-from .corpus import Corpus, UnitSequence, parse_id_line, split_chunks
+from .corpus import Corpus, Record, UnitSequence, parse_id_line, split_chunks
 from .errors import ContractError, ValidationError
 
 
-@dataclass(frozen=True)
-class TokenSequence:
+class TokenSequence(Record):
     """A unit sequence after merge application; ids live in the merged
     vocabulary, and the token count never exceeds the source unit count."""
 
-    tokens: tuple[int, ...]
+    __slots__ = _fields = ("tokens",)
+
+    def __init__(self, tokens: tuple[int, ...]):
+        object.__setattr__(self, "tokens", tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -111,17 +112,19 @@ def decode(tokens: TokenSequence, table: MergeTable) -> UnitSequence:
     return UnitSequence(tuple(chain.from_iterable(map(table._expansions.get, ids, zip(ids)))))
 
 
-@dataclass(frozen=True)
-class EncodedCorpus:
+class EncodedCorpus(Record):
     """Tokenized corpus plus the mean lengths before and after merging.
 
     mean_units is n-hat (average source length), mean_tokens is k-hat
     (average tokenized length); both are None for an empty corpus.
     """
 
-    sequences: tuple[TokenSequence, ...]
-    total_units: int
-    total_tokens: int
+    __slots__ = _fields = ("sequences", "total_units", "total_tokens")
+
+    def __init__(self, sequences: tuple[TokenSequence, ...], total_units: int, total_tokens: int):
+        object.__setattr__(self, "sequences", sequences)
+        object.__setattr__(self, "total_units", total_units)
+        object.__setattr__(self, "total_tokens", total_tokens)
 
     @property
     def mean_units(self) -> float | None:

@@ -20,9 +20,9 @@ name the offending token and line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -40,16 +40,60 @@ FORMAT_SYMBOLIC = "symbolic"
 FORMATS = (FORMAT_DAU, FORMAT_SYMBOLIC)
 
 
-@dataclass(frozen=True)
-class UnitSymbol:
+class Record:
+    """Base of the package's immutable records.
+
+    ``_fields`` names a record's fields in constructor order, as a named
+    tuple's does. A record equals only a record of its own class with equal
+    fields, hashes and prints by its fields, and refuses assignment and
+    deletion: its ``__init__`` sets each field with ``object.__setattr__``.
+    Records with cached properties keep an instance ``__dict__``; the others
+    store their fields in ``__slots__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A C-level getter, so comparing and hashing run no Python frame per
+        # field: a round-trip check compares every decoded sequence.
+        cls._key = attrgetter(*cls._fields)
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class UnitSymbol(Record):
     """One entry of a base vocabulary: integer id plus text label."""
 
-    id: int
-    surface: str
+    __slots__ = _fields = ("id", "surface")
+
+    def __init__(self, id: int, surface: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "surface", surface)
 
 
-@dataclass(frozen=True)
-class BaseVocabulary:
+class BaseVocabulary(Record):
     """Closed inventory of units, with reserved special ids and an
     optional word-boundary unit.
 
@@ -58,11 +102,12 @@ class BaseVocabulary:
     merges must never span.
     """
 
-    units: tuple[UnitSymbol, ...]
-    special: frozenset[int]
-    boundary: int | None = None
+    _fields = ("units", "special", "boundary")
 
-    def __post_init__(self):
+    def __init__(self, units: tuple[UnitSymbol, ...], special: frozenset[int], boundary: int | None = None):
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "special", special)
+        object.__setattr__(self, "boundary", boundary)
         for i, unit in enumerate(self.units):
             if unit.id != i:
                 raise ValidationError(f"unit id {unit.id} at position {i}: ids must be dense")
@@ -180,11 +225,13 @@ def save_vocabulary(vocabulary: BaseVocabulary, path: str | Path) -> None:
     Path(path).write_text("".join(s + "\n" for s in lines), encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class UnitSequence:
+class UnitSequence(Record):
     """One utterance: a sequence of unit ids over a base vocabulary."""
 
-    units: tuple[int, ...]
+    __slots__ = _fields = ("units",)
+
+    def __init__(self, units: tuple[int, ...]):
+        object.__setattr__(self, "units", units)
 
     def __len__(self) -> int:
         return len(self.units)
@@ -193,15 +240,15 @@ class UnitSequence:
         return iter(self.units)
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record):
     """Immutable bundle of validated unit sequences plus their vocabulary."""
 
-    vocabulary: BaseVocabulary
-    sequences: tuple[UnitSequence, ...]
-    source: str = ""
+    __slots__ = _fields = ("vocabulary", "sequences", "source")
 
-    def __post_init__(self):
+    def __init__(self, vocabulary: BaseVocabulary, sequences: tuple[UnitSequence, ...], source: str = ""):
+        object.__setattr__(self, "vocabulary", vocabulary)
+        object.__setattr__(self, "sequences", sequences)
+        object.__setattr__(self, "source", source)
         size = len(self.vocabulary)
         for seq in self.sequences:
             ids = seq.units
@@ -315,17 +362,25 @@ def load_corpus(
     return read_corpus(read_lines(path), format, vocabulary, boundary_label, source=str(path))
 
 
-def corpus_lines(corpus: Corpus, format: str) -> Iterable[str]:
+def corpus_lines(corpus: Corpus, format: str) -> Iterator[str]:
     """Render corpus sequences back to file lines (without newlines)."""
+    return sequence_lines(corpus.sequences, corpus.vocabulary, format)
+
+
+def sequence_lines(
+    sequences: Iterable[UnitSequence], vocabulary: BaseVocabulary, format: str
+) -> Iterator[str]:
+    """Render unit sequences as corpus file lines (without newlines). Ids
+    are not checked here: the caller has checked them against the
+    vocabulary, as Corpus does."""
     if format not in FORMATS:
         raise ContractError(f"unknown corpus format {format!r}")
     if format == FORMAT_DAU:
-        for seq in corpus.sequences:
+        for seq in sequences:
             yield " ".join(map(str, seq.units))
     else:
-        # Corpus has checked every id against the vocabulary.
-        labels = tuple(u.surface for u in corpus.vocabulary.units)
-        for seq in corpus.sequences:
+        labels = tuple(u.surface for u in vocabulary.units)
+        for seq in sequences:
             yield " ".join(map(labels.__getitem__, seq.units))
 
 
@@ -375,15 +430,24 @@ def join_chunks(chunks: Iterable[UnitSequence], boundary: int) -> UnitSequence:
     return UnitSequence(tuple(out))
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(Record):
     """Length summary of a corpus; mean/min/max are None when empty."""
 
-    sequence_count: int
-    total_units: int
-    mean_length: float | None
-    min_length: int | None
-    max_length: int | None
+    __slots__ = _fields = ("sequence_count", "total_units", "mean_length", "min_length", "max_length")
+
+    def __init__(
+        self,
+        sequence_count: int,
+        total_units: int,
+        mean_length: float | None,
+        min_length: int | None,
+        max_length: int | None,
+    ):
+        object.__setattr__(self, "sequence_count", sequence_count)
+        object.__setattr__(self, "total_units", total_units)
+        object.__setattr__(self, "mean_length", mean_length)
+        object.__setattr__(self, "min_length", min_length)
+        object.__setattr__(self, "max_length", max_length)
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

@@ -12,27 +12,26 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .bpe import MergeTable
 from .codec import encode_corpus
-from .corpus import Corpus, UnitSequence
+from .corpus import Corpus, Record, UnitSequence
 from .errors import ContractError
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """Relative frequencies over token ids, with an explicit support size.
 
     support_size counts the whole vocabulary, including ids that never
     occur; those contribute zero mass (and zero entropy).
     """
 
-    mass: dict[int, float]
-    support_size: int
+    __slots__ = _fields = ("mass", "support_size")
 
-    def __post_init__(self):
+    def __init__(self, mass: dict[int, float], support_size: int):
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "support_size", support_size)
         if self.support_size < 1:
             raise ContractError("support_size must be positive")
         total = 0.0
@@ -120,17 +119,25 @@ def edge_case_probability(eps: float, n: int) -> float:
     return math.exp(n * math.log1p(-eps))
 
 
-@dataclass(frozen=True)
-class RunLengthStats:
+class RunLengthStats(Record):
     """Maximal runs of identical units: the runs themselves as (unit,
     length) pairs, their mean and max length, and the fraction of units
     that merely repeat their predecessor. Empty input yields None for the
     derived values."""
 
-    runs: tuple[tuple[int, int], ...]
-    mean_run: float | None
-    max_run: int | None
-    repetition_fraction: float | None
+    __slots__ = _fields = ("runs", "mean_run", "max_run", "repetition_fraction")
+
+    def __init__(
+        self,
+        runs: tuple[tuple[int, int], ...],
+        mean_run: float | None,
+        max_run: int | None,
+        repetition_fraction: float | None,
+    ):
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "mean_run", mean_run)
+        object.__setattr__(self, "max_run", max_run)
+        object.__setattr__(self, "repetition_fraction", repetition_fraction)
 
 
 def run_length_stats(seq: UnitSequence | Sequence[int]) -> RunLengthStats:
@@ -222,29 +229,46 @@ def error_rate(ref: Sequence, hyp: Sequence) -> float | None:
     return d / len(ref)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Compression and balance summary of one corpus under one merge table.
 
     compression equals reduction / bit_increase exactly, by construction.
     """
 
-    n_hat: float
-    k_hat: float
-    reduction: float
-    bit_increase: float
-    compression: float
-    balance_before: float
-    balance_after: float
-    run_length_mean: float
-    base_vocab: int
-    token_vocab: int
+    __slots__ = _fields = (
+        "n_hat", "k_hat", "reduction", "bit_increase", "compression",
+        "balance_before", "balance_after", "run_length_mean", "base_vocab", "token_vocab",
+    )
+
+    def __init__(
+        self,
+        n_hat: float,
+        k_hat: float,
+        reduction: float,
+        bit_increase: float,
+        compression: float,
+        balance_before: float,
+        balance_after: float,
+        run_length_mean: float,
+        base_vocab: int,
+        token_vocab: int,
+    ):
+        object.__setattr__(self, "n_hat", n_hat)
+        object.__setattr__(self, "k_hat", k_hat)
+        object.__setattr__(self, "reduction", reduction)
+        object.__setattr__(self, "bit_increase", bit_increase)
+        object.__setattr__(self, "compression", compression)
+        object.__setattr__(self, "balance_before", balance_before)
+        object.__setattr__(self, "balance_after", balance_after)
+        object.__setattr__(self, "run_length_mean", run_length_mean)
+        object.__setattr__(self, "base_vocab", base_vocab)
+        object.__setattr__(self, "token_vocab", token_vocab)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=False)
+        return json.dumps(self._asdict(), indent=2, sort_keys=False)
 
     def to_text(self) -> str:
-        return "".join(f"{key} {value}\n" for key, value in asdict(self).items())
+        return "".join(f"{key} {value}\n" for key, value in self._asdict().items())
 
 
 def analyze(corpus: Corpus, table: MergeTable) -> AnalysisReport:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
-from .corpus import Corpus, UnitSequence, dau_vocabulary
+from .corpus import Corpus, Record, UnitSequence, dau_vocabulary
 from .errors import ContractError
 
 _MASK = (1 << 64) - 1
@@ -58,21 +57,21 @@ def _zipf_cumulative(vocab_size: int, exponent: float) -> list[float]:
     return cum
 
 
-@dataclass(frozen=True)
-class ZipfSpec:
+class ZipfSpec(Record):
     """Zipf-weighted i.i.d. corpus: unit id i drawn with weight (i+1)^-s.
 
     vocab_size counts content units only (the built vocabulary adds the
     three specials). Every sequence has exactly mean_length units.
     """
 
-    seed: int
-    vocab_size: int
-    num_sequences: int
-    mean_length: int
-    exponent: float
+    __slots__ = _fields = ("seed", "vocab_size", "num_sequences", "mean_length", "exponent")
 
-    def __post_init__(self):
+    def __init__(self, seed: int, vocab_size: int, num_sequences: int, mean_length: int, exponent: float):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "vocab_size", vocab_size)
+        object.__setattr__(self, "num_sequences", num_sequences)
+        object.__setattr__(self, "mean_length", mean_length)
+        object.__setattr__(self, "exponent", exponent)
         if self.vocab_size < 2:
             raise ContractError("vocab_size must be at least 2")
         if self.exponent < 0:
@@ -94,8 +93,7 @@ def gen_zipf_corpus(spec: ZipfSpec) -> Corpus:
     return Corpus(dau_vocabulary(spec.vocab_size), tuple(sequences), source="synth:zipf")
 
 
-@dataclass(frozen=True)
-class RunLengthSpec:
+class RunLengthSpec(Record):
     """Run-structured corpus: pick a unit, repeat it for a geometric run
     (mean mean_run), then pick a different unit, until mean_length units.
 
@@ -104,14 +102,23 @@ class RunLengthSpec:
     match the drawn ones, up to truncation at the sequence end.
     """
 
-    seed: int
-    clusters: int
-    num_sequences: int
-    mean_length: int
-    mean_run: float
-    transition_skew: float = 0.0
+    __slots__ = _fields = ("seed", "clusters", "num_sequences", "mean_length", "mean_run", "transition_skew")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        seed: int,
+        clusters: int,
+        num_sequences: int,
+        mean_length: int,
+        mean_run: float,
+        transition_skew: float = 0.0,
+    ):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "clusters", clusters)
+        object.__setattr__(self, "num_sequences", num_sequences)
+        object.__setattr__(self, "mean_length", mean_length)
+        object.__setattr__(self, "mean_run", mean_run)
+        object.__setattr__(self, "transition_skew", transition_skew)
         if self.clusters < 2:
             raise ContractError("clusters must be at least 2")
         if self.mean_run < 1:

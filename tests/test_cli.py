@@ -14,6 +14,9 @@ import unitbpe
 from unitbpe.cli import main
 
 LAZY_MODULES = {"unitbpe.metrics", "unitbpe.oracle", "unitbpe.synth"}
+# Modules the package's records do without; loading them costs a child
+# about 7 ms of its start-up.
+STARTUP_FREE = {"dataclasses", "inspect"}
 
 
 def run(capsys, *argv):
@@ -28,6 +31,14 @@ def run_fresh(*args: str) -> subprocess.CompletedProcess:
     path = [str(Path(unitbpe.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def imported_modules(*args: str) -> set[str]:
+    """The modules a fresh interpreter imports: -X importtime writes one
+    stderr line per module."""
+    proc = run_fresh("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
 
 
 @pytest.fixture()
@@ -91,8 +102,36 @@ class TestTrain:
         assert len(out.splitlines()) == 3 + 2
         assert err == (
             "unitbpe: note: stopped after 2 merges at |Z| = 8, short of --target-size 100:"
-            " no remaining pair reaches --min-pair-count 2\n"
+            " the best remaining pair has count 1, below --min-pair-count 2\n"
         )
+
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["fast", "oracle"])
+    @pytest.mark.parametrize(
+        "text, flags, note",
+        [
+            # (1, 2) merges into 6, which leaves a line of one token.
+            ("1 2\n", ("--min-pair-count", "1"),
+             "stopped after 1 merges at |Z| = 7, short of --target-size 100: no pair is left to merge"),
+            # (1, 1) and (1, 2) occur twice each; the tie goes to (1, 1),
+            # after which every pair occurs once.
+            ("1 1 2 _ 1 2 1 1\n", ("--format", "symbolic", "--min-pair-count", "2"),
+             "stopped after 1 merges at |Z| = 7, short of --target-size 100:"
+             " the best remaining pair has count 1, below --min-pair-count 2"),
+            # Pairs with "_" count too, and none occurs three times.
+            ("1 1 2 _ 1 2 1 1\n", ("--format", "symbolic", "--no-boundary", "--min-pair-count", "3"),
+             "stopped after 0 merges at |Z| = 6, short of --target-size 100:"
+             " the best remaining pair has count 2, below --min-pair-count 3"),
+            # Only pairs with the boundary are left, and it blocks them all.
+            ("1 2 _ 1 2 _ 1 2\n", ("--format", "symbolic"),
+             "stopped after 1 merges at |Z| = 7, short of --target-size 100: no pair is left to merge"),
+        ],
+        ids=["no-pairs", "below-count", "no-boundary", "boundary-only"],
+    )
+    def test_note_names_why_training_stopped(self, capsys, monkeypatch, text, flags, note, oracle):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run(capsys, "train", "--input", "-", "--target-size", "100", *flags, *oracle)
+        assert code == 0
+        assert err == f"unitbpe: note: {note}\n"
 
     def test_no_note_when_target_reached(self, capsys, dau_corpus):
         code, _, err = run(capsys, "train", "--input", str(dau_corpus), "--target-size", "7")
@@ -186,6 +225,61 @@ class TestReports:
         keys = [line.split()[0] for line in out.splitlines()]
         assert code == 0
         assert keys[:3] == ["n_hat", "k_hat", "reduction"]
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("stats --json", """\
+{
+  "sequence_count": 3,
+  "total_units": 14,
+  "mean_length": 4.666666666666667,
+  "min_length": 4,
+  "max_length": 5,
+  "run_length_mean": 1.0769230769230769
+}
+"""),
+            ("stats", """\
+sequence_count 3
+total_units 14
+mean_length 4.666666666666667
+min_length 4
+max_length 5
+run_length_mean 1.0769230769230769
+"""),
+            ("analyze --json", """\
+{
+  "n_hat": 4.666666666666667,
+  "k_hat": 2.3333333333333335,
+  "reduction": 2.0,
+  "bit_increase": 1.1605584217036249,
+  "compression": 1.723308333814104,
+  "balance_before": 0.6102240486708332,
+  "balance_after": 0.5188855691542743,
+  "run_length_mean": 1.0769230769230769,
+  "base_vocab": 6,
+  "token_vocab": 8
+}
+"""),
+            ("analyze", """\
+n_hat 4.666666666666667
+k_hat 2.3333333333333335
+reduction 2.0
+bit_increase 1.1605584217036249
+compression 1.723308333814104
+balance_before 0.6102240486708332
+balance_after 0.5188855691542743
+run_length_mean 1.0769230769230769
+base_vocab 6
+token_vocab 8
+"""),
+        ],
+        ids=["stats-json", "stats-text", "analyze-json", "analyze-text"],
+    )
+    def test_report_bytes_and_key_order(self, capsys, dau_corpus, trained, command, expected):
+        name, *flags = command.split()
+        table = ["--merges", str(trained)] if name == "analyze" else []
+        assert run(capsys, name, "--input", str(dau_corpus), *table, *flags) == (0, expected, "")
 
     def test_stats(self, capsys, dau_corpus):
         code, out, _ = run(capsys, "stats", "--input", str(dau_corpus), "--json")
@@ -298,6 +392,13 @@ class TestExitCodes:
         assert err == "unitbpe: error: line 2: token id 5 is a reserved special token\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["train", "train --oracle", "encode", "encode --oracle", "analyze"])
+    def test_threads_below_1_is_1(self, capsys, dau_corpus, trained, command):
+        name, *flags = command.split()
+        args = ["--target-size", "8"] if name == "train" else ["--merges", str(trained)]
+        code, out, err = run(capsys, name, "--input", str(dau_corpus), *args, *flags, "--threads", "0")
+        assert (code, out, err) == (1, "", "unitbpe: error: threads must be at least 1\n")
+
     def test_boundary_flags_rejected_for_dau(self, capsys, dau_corpus):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--input", str(dau_corpus), "--target-size", "9", "--no-boundary"])
@@ -340,13 +441,26 @@ class TestFreshInterpreter:
             ["encode", "--input", str(dau_corpus), "--merges", str(merges), "--out", str(tok)],
             ["decode", "--input", str(tok), "--merges", str(merges), "--out", str(back)],
         ):
-            # -X importtime writes one stderr line per module imported.
-            proc = run_fresh("-X", "importtime", "-m", "unitbpe", *argv)
-            assert proc.returncode == 0, proc.stderr
-            loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+            loaded = imported_modules("-m", "unitbpe", *argv)
             assert "unitbpe.cli" in loaded
             assert not loaded & LAZY_MODULES, argv[0]
         assert back.read_bytes() == dau_corpus.read_bytes()
+
+    def test_no_dataclasses_at_start_up(self, tmp_path, dau_corpus):
+        merges, tok = tmp_path / "m.bpe", tmp_path / "tok.txt"
+        for argv in (
+            ["train", "--input", str(dau_corpus), "--target-size", "8", "--out", str(merges)],
+            ["encode", "--input", str(dau_corpus), "--merges", str(merges), "--out", str(tok)],
+            ["decode", "--input", str(tok), "--merges", str(merges), "--out", str(tmp_path / "back.txt")],
+            ["analyze", "--input", str(dau_corpus), "--merges", str(merges), "--json"],
+            ["synth", "zipf", "--seed", "3", "--vocab-size", "4", "--sequences", "2", "--length", "6"],
+        ):
+            loaded = imported_modules("-m", "unitbpe", *argv)
+            assert "unitbpe.cli" in loaded
+            assert not loaded & STARTUP_FREE, argv[:2]
+        loaded = imported_modules("-c", "import unitbpe")
+        assert "unitbpe.bpe" in loaded
+        assert not loaded & STARTUP_FREE
 
     @pytest.mark.parametrize(
         "command",
