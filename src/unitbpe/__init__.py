@@ -30,7 +30,6 @@ from .corpus import (
     Corpus,
     CorpusStats,
     UnitSequence,
-    UnitSymbol,
     corpus_stats,
     dau_vocabulary,
     join_chunks,
@@ -86,7 +85,6 @@ __all__ = [
     "TrainOptions",
     "UnitBpeError",
     "UnitSequence",
-    "UnitSymbol",
     "ValidationError",
     "corpus_stats",
     "dau_vocabulary",

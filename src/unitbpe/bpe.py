@@ -31,7 +31,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .corpus import BaseVocabulary, Corpus, Record, dau_vocabulary, read_lines, split_chunks
+from .corpus import BaseVocabulary, Corpus, Record, read_lines, split_chunks
 from .errors import ContractError, ParseError, ValidationError
 
 MERGE_FILE_MAGIC = "unitbpe-v1"
@@ -176,14 +176,6 @@ def pair_counts(
     return counts
 
 
-def _blocked_ids(vocabulary: BaseVocabulary, respect_boundaries: bool) -> tuple[set[int], int | None]:
-    blocked = set(vocabulary.special)
-    boundary = vocabulary.boundary if respect_boundaries else None
-    if boundary is not None:
-        blocked.add(boundary)
-    return blocked, boundary
-
-
 def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable:
     """Learn a MergeTable from a corpus (the fast trainer).
 
@@ -199,7 +191,8 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
         )
     if threads < 1:
         raise ContractError("threads must be at least 1")
-    blocked, boundary = _blocked_ids(vocab, options.respect_boundaries)
+    boundary = vocab.boundary if options.respect_boundaries else None
+    blocked = vocab.special if boundary is None else vocab.special | {boundary}
 
     # Each distinct chunk of two or more units, weighted by its occurrences.
     chunks: Counter[tuple[int, ...]] = Counter(
@@ -348,9 +341,9 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
 
     The rows are parsed with one ``int`` pass over all their fields; only a
     file with a malformed row is walked row by row, to name the first one.
-    When no vocabulary is supplied one is synthesized for boundary-free
-    tables (numeric labels plus the standard specials); tables that record
-    a boundary label need the real vocabulary to resolve it.
+    When no vocabulary is supplied a boundary-free table gets the unlabelled
+    one of its base size (numeric labels plus the standard specials);
+    tables that record a boundary label need the real vocabulary.
     """
     rows = [ln.rstrip("\n").rstrip("\r") for ln in lines]
     if not rows or rows[0] != MERGE_FILE_MAGIC:
@@ -370,9 +363,7 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
             raise ValidationError(
                 f"table records boundary label {boundary_label!r}; a vocabulary is required to resolve it"
             )
-        if base_size < 3:
-            raise ValidationError("base size too small for synthesized vocabulary")
-        vocabulary = dau_vocabulary(base_size - 3)
+        vocabulary = BaseVocabulary(base_size)
     elif len(vocabulary) != base_size:
         raise ValidationError(
             f"vocabulary size {len(vocabulary)} does not match recorded base size {base_size}"

@@ -8,9 +8,10 @@ whitespace-separated tokens:
 * ``symbolic``: free-form non-whitespace labels (phoneme streams), with a
   configurable word-boundary label (default ``_``).
 
-Vocabularies always reserve three special ids (PAD/BOS/EOS) appended after
-the content units, so a DAU inventory with K clusters has size K+3. Corpus
-files carry content units only; special ids never appear in files.
+Vocabularies reserve the last three ids for the specials PAD/BOS/EOS, so a
+DAU inventory with K clusters has size K+3. Its labels are the ids' decimal
+strings and are never stored, so no run is sized by an id in its input.
+Corpus files carry content units only; special ids never appear in files.
 
 Parsing and rendering make one C-level pass per line: ``int`` or the label
 lookup mapped over its tokens, then ``min``/``max`` and a disjointness test
@@ -21,10 +22,10 @@ name the offending token and line.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, AbstractSet, Iterable, Iterator
 
 from .errors import ContractError, ParseError, ValidationError
 
@@ -32,6 +33,7 @@ PAD_LABEL = "<pad>"
 BOS_LABEL = "<bos>"
 EOS_LABEL = "<eos>"
 SPECIAL_LABELS = (PAD_LABEL, BOS_LABEL, EOS_LABEL)
+_RESERVED = frozenset(SPECIAL_LABELS)
 
 DEFAULT_BOUNDARY_LABEL = "_"
 
@@ -83,107 +85,111 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class UnitSymbol(Record):
-    """One entry of a base vocabulary: integer id plus text label."""
-
-    __slots__ = _fields = ("id", "surface")
-
-    def __init__(self, id: int, surface: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "surface", surface)
-
-
 class BaseVocabulary(Record):
-    """Closed inventory of units, with reserved special ids and an
-    optional word-boundary unit.
+    """Closed inventory of ``size`` units: the content units, then the
+    specials PAD/BOS/EOS as the last three ids. ``boundary``, when set, is a
+    content unit that merges must never span.
 
-    ``units[i].id == i`` always holds; ``special`` ids and the boundary id
-    refer into ``units``. The boundary, when set, is a content unit that
-    merges must never span.
+    ``labels`` holds the content labels in id order, or is None when content
+    id ``i`` is labelled ``str(i)``, as in a DAU vocabulary. Labels that are
+    exactly ``"0", "1", ...`` are stored as None, so equal labels make equal
+    vocabularies. Nothing is stored per id of an unlabelled vocabulary.
     """
 
-    _fields = ("units", "special", "boundary")
+    _fields = ("size", "labels", "boundary")
 
-    def __init__(self, units: tuple[UnitSymbol, ...], special: frozenset[int], boundary: int | None = None):
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "special", special)
-        object.__setattr__(self, "boundary", boundary)
-        for i, unit in enumerate(self.units):
-            if unit.id != i:
-                raise ValidationError(f"unit id {unit.id} at position {i}: ids must be dense")
-        surfaces = [u.surface for u in self.units]
-        if len(set(surfaces)) != len(surfaces):
-            dup = next(s for s in surfaces if surfaces.count(s) > 1)
-            raise ValidationError(f"duplicate surface label {dup!r}")
-        for sid in self.special:
-            if not 0 <= sid < len(self.units):
-                raise ValidationError(f"special id {sid} outside vocabulary")
-        if self.boundary is not None:
-            if not 0 <= self.boundary < len(self.units):
-                raise ValidationError(f"boundary id {self.boundary} outside vocabulary")
-            if self.boundary in self.special:
+    def __init__(self, size: int, labels: tuple[str, ...] | None = None, boundary: int | None = None):
+        if labels is not None:
+            if len(labels) != size - 3:
+                raise ValidationError(f"{len(labels)} content labels do not fit a vocabulary of size {size}")
+            if not _RESERVED.isdisjoint(labels):
+                raise ValidationError(f"label {next(filter(_RESERVED.__contains__, labels))!r} is reserved")
+            last = dict(zip(labels, count()))  # each label's last id
+            if len(last) != len(labels):
+                dup = next(label for i, label in enumerate(labels) if last[label] != i)
+                raise ValidationError(f"duplicate surface label {dup!r}")
+            if all(map(str.__eq__, labels, map(str, count()))):
+                labels = None
+        elif size < 3:
+            raise ValidationError("base size too small for synthesized vocabulary")
+        if boundary is not None:
+            if not 0 <= boundary < size:
+                raise ValidationError(f"boundary id {boundary} outside vocabulary")
+            if boundary >= size - 3:
                 raise ValidationError("boundary must not be a special token")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "boundary", boundary)
 
     def __len__(self) -> int:
-        return len(self.units)
+        return self.size
+
+    @property
+    def special(self) -> frozenset[int]:
+        """The ids of PAD, BOS and EOS: always the last three."""
+        return frozenset(range(self.size - 3, self.size))
 
     @cached_property
     def _surface_to_id(self) -> dict[str, int]:
-        return {u.surface: u.id for u in self.units}
+        return {label: i for i, label in enumerate(self.labels + SPECIAL_LABELS)}
+
+    def _lookup(self, labels: Iterable[str]) -> dict[str, int]:
+        """Label -> id for at least those of ``labels`` that name a unit: a
+        labelled vocabulary's whole table, or else the specials and those of
+        ``labels`` that are the decimal string of a content id."""
+        if self.labels is not None:
+            return self._surface_to_id
+        content = self.size - 3
+        digits = len(str(content))  # a longer label names no content id
+        ids = {s: i for s in set(labels) if s.isascii() and s.isdigit() and len(s) <= digits
+               and (i := int(s)) < content and str(i) == s}
+        ids.update(zip(SPECIAL_LABELS, range(content, self.size)))
+        return ids
 
     def surface(self, unit_id: int) -> str:
-        if not 0 <= unit_id < len(self.units):
-            raise ValidationError(f"unit id {unit_id} outside vocabulary of size {len(self.units)}")
-        return self.units[unit_id].surface
+        if not 0 <= unit_id < self.size:
+            raise ValidationError(f"unit id {unit_id} outside vocabulary of size {self.size}")
+        if unit_id >= self.size - 3:
+            return SPECIAL_LABELS[unit_id - self.size]
+        return str(unit_id) if self.labels is None else self.labels[unit_id]
 
     def id_of(self, label: str) -> int:
-        try:
-            return self._surface_to_id[label]
-        except KeyError:
-            raise ValidationError(f"unknown label {label!r}") from None
+        uid = self._lookup((label,)).get(label)
+        if uid is None:
+            raise ValidationError(f"unknown label {label!r}")
+        return uid
 
     def is_special(self, unit_id: int) -> bool:
-        return unit_id in self.special
+        return self.size - 3 <= unit_id < self.size
 
     @property
     def boundary_surface(self) -> str | None:
-        return None if self.boundary is None else self.units[self.boundary].surface
+        return None if self.boundary is None else self.surface(self.boundary)
 
-    def content_ids(self) -> list[int]:
+    def content_ids(self) -> range:
         """Ids that may appear in corpus files (everything but specials)."""
-        return [u.id for u in self.units if u.id not in self.special]
+        return range(self.size - 3)
 
 
 def dau_vocabulary(clusters: int) -> BaseVocabulary:
-    """DAU vocabulary: ids 0..clusters-1 labelled by their decimal string,
-    plus PAD/BOS/EOS. Size is clusters + 3; no boundary unit."""
+    """DAU vocabulary: ids 0..clusters-1, labelled by their decimal strings
+    without storing them, plus PAD/BOS/EOS. Size is clusters + 3; no boundary."""
     if clusters < 0:
         raise ContractError("cluster count must be non-negative")
-    units = [UnitSymbol(i, str(i)) for i in range(clusters)]
-    for off, label in enumerate(SPECIAL_LABELS):
-        units.append(UnitSymbol(clusters + off, label))
-    special = frozenset(range(clusters, clusters + 3))
-    return BaseVocabulary(tuple(units), special, boundary=None)
+    return BaseVocabulary(clusters + 3)
 
 
 def symbolic_vocabulary(
     labels: Iterable[str], boundary_label: str | None = DEFAULT_BOUNDARY_LABEL
 ) -> BaseVocabulary:
     """Vocabulary from content labels in order, appending the boundary label
-    (when configured and absent) and the three specials."""
-    content = list(labels)
-    for label in content:
-        if label in SPECIAL_LABELS:
-            raise ValidationError(f"label {label!r} is reserved")
+    (when configured and absent) and the three specials. A reserved or
+    repeated label, the boundary label included, is a ValidationError."""
+    content = tuple(labels)
     if boundary_label is not None and boundary_label not in content:
-        content.append(boundary_label)
-    units = [UnitSymbol(i, s) for i, s in enumerate(content)]
-    base = len(content)
-    for off, label in enumerate(SPECIAL_LABELS):
-        units.append(UnitSymbol(base + off, label))
-    special = frozenset(range(base, base + 3))
-    boundary = content.index(boundary_label) if boundary_label is not None else None
-    return BaseVocabulary(tuple(units), special, boundary)
+        content += (boundary_label,)
+    boundary = None if boundary_label is None else content.index(boundary_label)
+    return BaseVocabulary(len(content) + 3, content, boundary)
 
 
 def decode_lines(data: bytes) -> list[str]:
@@ -206,22 +212,26 @@ def load_vocabulary(
     path: str | Path, boundary_label: str | None = DEFAULT_BOUNDARY_LABEL
 ) -> BaseVocabulary:
     """Read a sidecar vocabulary file: one content label per line, line
-    number = unit id. A label holding whitespace is rejected: corpus
-    tokens are split on whitespace, so no corpus line could contain it."""
-    labels = []
+    number = unit id. A label that is empty, reserved, repeated or holds
+    whitespace (no corpus token could match it) is a ParseError with its line."""
+    lines: dict[str, int] = {}  # label -> its line, in file order
     for i, line in enumerate(read_lines(path), start=1):
         label = line.strip()
         if not label:
             raise ParseError("empty label", line=i)
         if label.split() != [label]:
             raise ParseError(f"label must be one token without whitespace, got {label!r}", line=i)
-        labels.append(label)
-    return symbolic_vocabulary(labels, boundary_label)
+        if label in _RESERVED:
+            raise ParseError(f"label {label!r} is reserved", line=i)
+        if label in lines:
+            raise ParseError(f"duplicate surface label {label!r}, first on line {lines[label]}", line=i)
+        lines[label] = i
+    return symbolic_vocabulary(lines, boundary_label)
 
 
 def save_vocabulary(vocabulary: BaseVocabulary, path: str | Path) -> None:
     """Write the content labels of a vocabulary, one per line."""
-    lines = [vocabulary.units[i].surface for i in vocabulary.content_ids()]
+    lines = map(vocabulary.surface, vocabulary.content_ids())
     Path(path).write_text("".join(s + "\n" for s in lines), encoding="utf-8")
 
 
@@ -288,13 +298,13 @@ def _parse_dau_lines(lines: list[str], vocabulary: BaseVocabulary | None):
         raw.append(ids)
     if vocabulary is None:
         return raw, dau_vocabulary(max((max(ids) for ids in raw if ids), default=-1) + 1)
-    size, special = len(vocabulary), vocabulary.special
+    size = len(vocabulary)
     for lineno, ids in enumerate(raw, start=1):
-        if ids and (max(ids) >= size or not special.isdisjoint(ids)):
+        if ids and max(ids) >= size - 3:  # the specials are the last three ids
             for i in ids:
                 if i >= size:
                     raise ValidationError(f"line {lineno}: unit id {i} outside vocabulary of size {size}")
-                if i in special:
+                if i >= size - 3:
                     raise ValidationError(f"line {lineno}: id {i} is a reserved special token")
     return raw, vocabulary
 
@@ -302,14 +312,14 @@ def _parse_dau_lines(lines: list[str], vocabulary: BaseVocabulary | None):
 def _parse_symbolic_lines(
     lines: list[str], vocabulary: BaseVocabulary | None, boundary_label: str | None
 ):
+    unlabelled = vocabulary is None or vocabulary.labels is None
+    # A list when the labels are read before parsing, to infer or to map them.
+    rows = [line.split() for line in lines] if unlabelled else map(str.split, lines)
     if vocabulary is None:
-        rows = [line.split() for line in lines]
         # Labels in first-appearance order; symbolic_vocabulary rejects the
         # first reserved one, so the inferred vocabulary has every label.
         vocabulary = symbolic_vocabulary(dict.fromkeys(chain.from_iterable(rows)), boundary_label)
-    else:
-        rows = (line.split() for line in lines)
-    to_id, special = vocabulary._surface_to_id, vocabulary.special
+    to_id, special = vocabulary._lookup(chain.from_iterable(rows)), vocabulary.special
     raw = []
     for lineno, row in enumerate(rows, start=1):
         try:
@@ -376,12 +386,13 @@ def sequence_lines(
     if format not in FORMATS:
         raise ContractError(f"unknown corpus format {format!r}")
     if format == FORMAT_DAU:
-        for seq in sequences:
-            yield " ".join(map(str, seq.units))
+        label = str
+    elif vocabulary.labels is None:
+        label = vocabulary.surface
     else:
-        labels = tuple(u.surface for u in vocabulary.units)
-        for seq in sequences:
-            yield " ".join(map(labels.__getitem__, seq.units))
+        label = (vocabulary.labels + SPECIAL_LABELS).__getitem__
+    for seq in sequences:
+        yield " ".join(map(label, seq.units))
 
 
 def save_corpus(corpus: Corpus, dest: str | Path | IO[str], format: str) -> None:
@@ -395,7 +406,7 @@ def save_corpus(corpus: Corpus, dest: str | Path | IO[str], format: str) -> None
                 fh.write(line + "\n")
 
 
-def split_chunks(units: tuple[int, ...], blocked: set[int]) -> Iterator[tuple[int, ...]]:
+def split_chunks(units: tuple[int, ...], blocked: AbstractSet[int]) -> Iterator[tuple[int, ...]]:
     """The runs of units between blocked ids, in order, empty runs included:
     a sequence with n blocked units yields n + 1 chunks."""
     if blocked.isdisjoint(units):

@@ -420,6 +420,21 @@ class TestExitCodes:
         assert "--boundary" in capsys.readouterr().err
         assert not out.exists() and not vocab.exists()
 
+    @pytest.mark.parametrize("command", ["train", "stats"])
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["inferred", "sidecar"])
+    def test_reserved_boundary_label_is_1(self, capsys, tmp_path, command, sidecar):
+        corpus, vocab, out = tmp_path / "c.txt", tmp_path / "c.vocab", tmp_path / "out.txt"
+        corpus.write_text("K AE1 T S\n", encoding="utf-8")
+        vocab.write_text("K\nAE1\nT\nS\n", encoding="utf-8")
+        argv = [command, "--input", str(corpus), "--format", "symbolic", "--boundary", "<eos>", "--out", str(out)]
+        if command == "train":
+            argv += ["--target-size", "20"]
+        if sidecar:
+            argv += ["--vocab", str(vocab)]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (1, "unitbpe: error: label '<eos>' is reserved\n")
+        assert not out.exists()
+
     def test_sidecar_label_with_whitespace_is_1_with_line(self, capsys, tmp_path):
         # Corpus tokens are split on whitespace, so the label "b c" could
         # never occur in a corpus, and decode could not write it readably.

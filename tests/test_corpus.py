@@ -1,8 +1,13 @@
 """Vocabulary construction, corpus parsing, and boundary splitting."""
 
+import time
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unitbpe import (
+    BaseVocabulary,
     Corpus,
     ParseError,
     UnitSequence,
@@ -19,7 +24,7 @@ from unitbpe import (
     symbolic_vocabulary,
 )
 from unitbpe.codec import read_token_lines
-from unitbpe.corpus import SPECIAL_LABELS
+from unitbpe.corpus import SPECIAL_LABELS, sequence_lines
 from unitbpe.errors import ContractError
 
 
@@ -62,6 +67,103 @@ class TestVocabularies:
         path = tmp_path / "v.txt"
         save_vocabulary(vocab, path)
         assert load_vocabulary(path) == vocab
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\n<pad>\nb\n", "line 2: label '<pad>' is reserved"),
+            ("a\nb\nc\nb\n", "line 4: duplicate surface label 'b', first on line 2"),
+        ],
+        ids=["reserved", "duplicate"],
+    )
+    def test_sidecar_rejected_label_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_vocabulary(path)
+        assert str(err.value) == message
+
+    def test_duplicate_label_found_in_linear_time(self, tmp_path):
+        # A quadratic duplicate scan takes seconds on 20,001 labels.
+        labels = [f"w{i}" for i in range(20000)] + ["w19999"]
+        path = tmp_path / "v.txt"
+        path.write_text("".join(label + "\n" for label in labels), encoding="utf-8")
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            load_vocabulary(path)
+        with pytest.raises(ValidationError) as verr:
+            symbolic_vocabulary(labels)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == "line 20001: duplicate surface label 'w19999', first on line 20000"
+        assert str(verr.value) == "duplicate surface label 'w19999'"
+
+    def test_reserved_boundary_label_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            symbolic_vocabulary(["a"], boundary_label="<eos>")
+        assert str(err.value) == "label '<eos>' is reserved"
+
+    def test_vocabulary_stores_no_per_id_state(self):
+        vocab = dau_vocabulary(10**12)
+        assert vocab._fields == ("size", "labels", "boundary")
+        assert (vocab.size, vocab.labels, vocab.boundary) == (10**12 + 3, None, None)
+        assert vocab.special == frozenset(range(10**12, 10**12 + 3))
+        assert vocab.surface(10**12 - 1) == str(10**12 - 1) and vocab.id_of("<eos>") == 10**12 + 2
+
+
+# Tokens a symbolic line may hold: decimal ids, some past the content ids,
+# and near misses that int() accepts or that read as digits to str.isdigit.
+TOKENS = st.one_of(
+    st.integers(0, 45).map(str),
+    st.sampled_from(["007", "00", "+1", "-1", "1_0", "\u0663", "\u00b2", "_", "a", *SPECIAL_LABELS]),
+)
+
+
+class TestUnlabelledVocabulary:
+    """A DAU vocabulary stores no labels: content id i reads and prints as
+    str(i). It must act exactly as an explicit label table does."""
+
+    @given(st.integers(0, 40), st.lists(st.lists(TOKENS, max_size=6), max_size=4))
+    def test_agrees_with_explicit_table(self, n, rows):
+        vocab = dau_vocabulary(n)
+        table = {str(i): i for i in range(n)}
+        table.update((label, n + k) for k, label in enumerate(SPECIAL_LABELS))
+        surfaces = {i: label for label, i in table.items()}
+
+        explicit = symbolic_vocabulary([str(i) for i in range(n)], boundary_label=None)
+        assert explicit == vocab and hash(explicit) == hash(vocab) and explicit.labels is None
+        assert vocab != dau_vocabulary(n + 1)
+        assert list(vocab.content_ids()) == list(range(n)) and vocab.special == set(range(n, n + 3))
+        assert [vocab.surface(i) for i in range(n + 3)] == [surfaces[i] for i in range(n + 3)]
+        for token in {t for row in rows for t in row}:
+            if token in table:
+                assert vocab.id_of(token) == table[token]
+            else:
+                with pytest.raises(ValidationError):
+                    vocab.id_of(token)
+
+        lines = [" ".join(row) for row in rows]
+        # The first token that is not a content label, by line, as the parser reports it.
+        bad = [(lineno, t) for lineno, row in enumerate(rows, start=1) for t in row if table.get(t, n) >= n]
+        if bad:
+            lineno, token = bad[0]
+            reason = f"label {token!r} is a reserved special token" if token in table else f"unknown label {token!r}"
+            with pytest.raises(ValidationError) as err:
+                read_corpus(lines, "symbolic", vocab)
+            assert str(err.value) == f"line {lineno}: {reason}"
+        else:
+            corpus = read_corpus(lines, "symbolic", vocab)
+            assert [s.units for s in corpus.sequences] == [tuple(table[t] for t in row) for row in rows]
+            assert list(sequence_lines(corpus.sequences, vocab, "symbolic")) == lines
+
+        ids = [table[t] for row in rows for t in row if t in table]
+        assert list(sequence_lines([UnitSequence(tuple(ids))], vocab, "symbolic")) == [
+            " ".join(surfaces[i] for i in ids)
+        ]
+
+    def test_boundary_labelled_by_its_id(self):
+        vocab = symbolic_vocabulary(["0", "1"], boundary_label="2")
+        assert vocab == BaseVocabulary(6, None, 2)
+        assert vocab.boundary_surface == "2" and vocab.id_of("2") == 2
 
 
 class TestCorpusParsing:

@@ -16,8 +16,7 @@ REPORT = dict(
 # name: (required fields, defaulted fields with their defaults, one field
 # changed to another valid value), every dict in constructor order.
 RECORDS = {
-    "UnitSymbol": ({"id": 0, "surface": "a"}, {}, {"surface": "b"}),
-    "BaseVocabulary": ({"units": VOCAB.units, "special": VOCAB.special}, {"boundary": None}, {"boundary": 1}),
+    "BaseVocabulary": ({"size": 5}, {"labels": None, "boundary": None}, {"boundary": 1}),
     "UnitSequence": ({"units": (0, 1, 0)}, {}, {"units": (1,)}),
     "Corpus": (
         {"vocabulary": VOCAB, "sequences": (UnitSequence((0, 1, 0)),)}, {"source": ""}, {"source": "c.txt"}
