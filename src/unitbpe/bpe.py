@@ -19,6 +19,8 @@ counted in a table local to its pass; only those that reach
 ``min_pair_count`` enter the shared counts, position arrays and heap. Its
 contract is defined by equivalence with the reference implementation that
 rescans the corpus every iteration (see the oracle module).
+
+A merge table's validating walk over its rules also builds the encoder's index.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class TrainOptions(Record):
         object.__setattr__(self, "min_pair_count", min_pair_count)
         if self.min_pair_count < 1:
             raise ContractError("min_pair_count must be at least 1")
+        if self.target_size > 1 << 63:  # so every id a trainer stores fits an int64
+            raise ContractError("target_size must be at most 2^63")
 
 
 class MergeTable(Record):
@@ -78,7 +82,8 @@ class MergeTable(Record):
     ``boundary`` records the barrier actually enforced when the table was
     built (None when training was unconstrained); every rule is checked to
     keep boundary and special units out of merged tokens, so token surfaces
-    never mix the boundary with other units.
+    never mix the boundary with other units. The same walk builds
+    ``packed_rules``: ``((left << shift) | right -> (rank, result), shift)``.
     """
 
     _fields = ("base", "merges", "boundary")
@@ -87,9 +92,11 @@ class MergeTable(Record):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "merges", merges)
         object.__setattr__(self, "boundary", boundary)
-        base_size = len(self.base)
+        base_size = self.base.size
         blocked = self.base.special if self.boundary is None else self.base.special | {self.boundary}
-        seen_pairs = set()
+        # Each side is checked to be below vocab_size, so a key is one pair.
+        shift = max(1, (self.vocab_size - 1).bit_length())
+        rules: dict[int, tuple[int, int]] = {}
         for i, m in enumerate(self.merges):
             if m.rank != i:
                 raise ValidationError(f"merge rank {m.rank} at position {i}: ranks must be dense")
@@ -97,30 +104,23 @@ class MergeTable(Record):
                 raise ValidationError(
                     f"merge {i}: result {m.result} != base size {base_size} + rank {i}"
                 )
-            pair = (m.left, m.right)
-            for side in pair:
+            for side in (m.left, m.right):
                 if not 0 <= side < m.result:
                     raise ValidationError(f"merge {i}: token id {side} not yet defined")
                 if side in blocked:
                     if self.base.is_special(side):
                         raise ValidationError(f"merge {i}: special token {side} may not be merged")
                     raise ValidationError(f"merge {i}: boundary unit {side} may not be merged")
-            if pair in seen_pairs:
+            key = (m.left << shift) | m.right
+            if key in rules:
                 raise ValidationError(f"merge {i}: duplicate pair ({m.left}, {m.right})")
-            seen_pairs.add(pair)
-
-    @property
-    def base_size(self) -> int:
-        return len(self.base)
+            rules[key] = (m.rank, m.result)
+        object.__setattr__(self, "packed_rules", (rules, shift))
 
     @property
     def vocab_size(self) -> int:
         """|Z| = |base| + number of merges."""
-        return len(self.base) + len(self.merges)
-
-    @cached_property
-    def pair_to_merge(self) -> dict[tuple[int, int], Merge]:
-        return {(m.left, m.right): m for m in self.merges}
+        return self.base.size + len(self.merges)
 
     @cached_property
     def _expansions(self) -> dict[int, tuple[int, ...]]:
@@ -131,13 +131,6 @@ class MergeTable(Record):
             out[m.result] = out.get(m.left, (m.left,)) + out.get(m.right, (m.right,))
         return out
 
-    @cached_property
-    def packed_rules(self) -> tuple[dict[int, tuple[int, int]], int]:
-        """Encoder index: ``(left << shift) | right`` -> (rank, result),
-        plus the shift. Packing pairs into single ints makes dict keys cheap."""
-        shift = max(1, (self.vocab_size - 1).bit_length())
-        return {(m.left << shift) | m.right: (m.rank, m.result) for m in self.merges}, shift
-
     def token_surface(self, token_id: int) -> tuple[int, ...]:
         """Constituent base unit ids of a token, in order."""
         if not 0 <= token_id < self.vocab_size:
@@ -146,9 +139,9 @@ class MergeTable(Record):
             )
         return self._expansions.get(token_id, (token_id,))
 
-    def token_label(self, token_id: int, joiner: str = "+") -> str:
-        """Human-readable token surface: unit labels joined by ``joiner``."""
-        return joiner.join(self.base.surface(u) for u in self.token_surface(token_id))
+    def token_label(self, token_id: int) -> str:
+        """Human-readable token surface: unit labels joined by ``+``."""
+        return "+".join(self.base.surface(u) for u in self.token_surface(token_id))
 
 
 def pair_counts(
@@ -184,7 +177,7 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
     thread; ``threads`` must be at least 1 and changes nothing else.
     """
     vocab = corpus.vocabulary
-    base_size = len(vocab)
+    base_size = vocab.size
     if options.target_size <= base_size:
         raise ContractError(
             f"target_size {options.target_size} must exceed base vocabulary size {base_size}"
@@ -322,18 +315,21 @@ def save_merge_table(table: MergeTable, dest) -> None:
     boundary label (empty when unconstrained), then one ``rank left right
     result`` row per merge.
     """
-    lines = [MERGE_FILE_MAGIC, str(len(table.base))]
-    if table.boundary is None:
-        lines.append("")
-    else:
-        lines.append(table.base.surface(table.boundary))
-    for m in table.merges:
-        lines.append(f"{m.rank} {m.left} {m.right} {m.result}")
+    label = "" if table.boundary is None else table.base.surface(table.boundary)
+    lines = [MERGE_FILE_MAGIC, str(table.base.size), label]
+    lines += (f"{m.rank} {m.left} {m.right} {m.result}" for m in table.merges)
     text = "".join(line + "\n" for line in lines)
     if hasattr(dest, "write"):
         dest.write(text)
     else:
         Path(dest).write_text(text, encoding="utf-8", newline="\n")
+
+
+def header_boundary_label(rows: Sequence[str]) -> str | None:
+    """Line 3 of merge-file rows, or None if it is blank or the header is bad."""
+    if len(rows) < 3 or rows[0] != MERGE_FILE_MAGIC:
+        return None
+    return rows[2].strip() or None
 
 
 def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = None) -> MergeTable:
@@ -356,7 +352,7 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
         raise ParseError(f"base vocabulary size must be an integer, got {rows[1]!r}", line=2) from None
     if base_size < 0:
         raise ParseError("base vocabulary size must be non-negative", line=2)
-    boundary_label = rows[2].strip() or None
+    boundary_label = header_boundary_label(rows)
 
     if vocabulary is None:
         if boundary_label is not None:
@@ -364,9 +360,9 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
                 f"table records boundary label {boundary_label!r}; a vocabulary is required to resolve it"
             )
         vocabulary = BaseVocabulary(base_size)
-    elif len(vocabulary) != base_size:
+    elif vocabulary.size != base_size:
         raise ValidationError(
-            f"vocabulary size {len(vocabulary)} does not match recorded base size {base_size}"
+            f"vocabulary size {vocabulary.size} does not match recorded base size {base_size}"
         )
     boundary = None
     if boundary_label is not None:
@@ -381,19 +377,17 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
         else:
             columns = zip(nums[0::4], nums[1::4], nums[2::4], nums[3::4])
             return MergeTable(vocabulary, tuple(map(Merge._make, columns)), boundary=boundary)
-    merges = []
-    for lineno, row in enumerate(rows[3:], start=4):
-        if not row.strip():
+    # Some row has other than 4 fields, or a field that int rejects.
+    for lineno, (row, cols) in enumerate(zip(rows[3:], fields), start=4):
+        if not cols:
             raise ParseError("blank merge row", line=lineno)
-        fields = row.split()
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 fields, got {len(fields)}", line=lineno)
+        if len(cols) != 4:
+            raise ParseError(f"expected 4 fields, got {len(cols)}", line=lineno)
         try:
-            rank, left, right, result = (int(f, 10) for f in fields)
+            list(map(int, cols))
         except ValueError:
             raise ParseError(f"non-integer field in merge row {row!r}", line=lineno) from None
-        merges.append(Merge(rank, left, right, result))
-    return MergeTable(vocabulary, tuple(merges), boundary=boundary)
+    raise AssertionError("unreachable: every row parsed")
 
 
 def load_merge_table(path: str | Path, vocabulary: BaseVocabulary | None = None) -> MergeTable:

@@ -33,6 +33,7 @@ from .corpus import (
     corpus_stats,
     decode_lines,
     load_vocabulary,
+    parse_id_line,
     read_corpus,
     read_lines,
     save_vocabulary,
@@ -42,11 +43,7 @@ from .errors import ContractError, UnitBpeError, ValidationError
 
 
 def _read_lines(path: str) -> list[str]:
-    if path != "-":
-        return read_lines(path)
-    # Text-only stand-ins for stdin (io.StringIO) have no byte buffer.
-    buffer = getattr(sys.stdin, "buffer", None)
-    return sys.stdin.read().splitlines() if buffer is None else decode_lines(buffer.read())
+    return decode_lines(sys.stdin.buffer.read()) if path == "-" else read_lines(path)
 
 
 @contextmanager
@@ -179,11 +176,8 @@ def _load_table(args) -> bpe.MergeTable:
     """The --merges table over the --vocab sidecar, if any. The merge file is
     read once: its line 3 is the boundary label the sidecar is loaded with."""
     lines = read_lines(args.merges)
-    vocab = None
-    if args.vocab is not None:
-        # A bad header is reported by parse_merge_table; until then, no label.
-        label = lines[2].strip() if len(lines) > 2 and lines[0] == bpe.MERGE_FILE_MAGIC else ""
-        vocab = load_vocabulary(args.vocab, boundary_label=label or None)
+    label = bpe.header_boundary_label(lines)
+    vocab = None if args.vocab is None else load_vocabulary(args.vocab, boundary_label=label)
     return bpe.parse_merge_table(lines, vocab)
 
 
@@ -238,18 +232,19 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     """Decode token lines. Unlike library decode, a special id is an error:
-    the output must be a corpus file, and those never hold specials. Every
-    id is checked here, so the units are rendered without a Corpus."""
+    the output must be a corpus file, and those never hold specials. Each
+    line is parsed, decoded and checked in turn; no Corpus is built."""
     table = _load_table(args)
     special = table.base.special
     sequences = []
-    for lineno, tokens in enumerate(codec.read_token_lines(_read_lines(args.input)), start=1):
+    for lineno, line in enumerate(_read_lines(args.input), start=1):
+        ids = parse_id_line(line, lineno)
         try:
-            sequences.append(codec.decode(tokens, table))
+            sequences.append(codec.decode(codec.TokenSequence(ids), table))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-        if not special.isdisjoint(tokens.tokens):
-            bad = next(t for t in tokens.tokens if t in special)
+        if not special.isdisjoint(ids):
+            bad = next(t for t in ids if t in special)
             raise ValidationError(f"line {lineno}: token id {bad} is a reserved special token")
     with _out_stream(args.out) as out:
         _write_lines(out, sequence_lines(sequences, table.base, args.format))

@@ -92,7 +92,7 @@ def _encode_ids(ids: Sequence[int], rules: dict[int, tuple[int, int]], shift: in
 def encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:
     """Tokenize one unit sequence with a merge table."""
     units = seq.units
-    base_size = len(table.base)
+    base_size = table.base.size
     if units and (min(units) < 0 or max(units) >= base_size):
         bad = next(u for u in units if not 0 <= u < base_size)
         raise ValidationError(f"unit id {bad} outside base vocabulary of size {base_size}")
@@ -176,11 +176,9 @@ def token_lines(
     per token when surfaces is set (requires the table)."""
     if surfaces and table is None:
         raise ContractError("surface rendering requires a merge table")
+    label = table.token_label if surfaces else str
     for seq in sequences:
-        if surfaces:
-            yield " ".join(map(table.token_label, seq.tokens))
-        else:
-            yield " ".join(map(str, seq.tokens))
+        yield " ".join(map(label, seq.tokens))
 
 
 def read_token_lines(lines: Iterable[str]) -> list[TokenSequence]:

@@ -192,14 +192,22 @@ def symbolic_vocabulary(
     return BaseVocabulary(len(content) + 3, content, boundary)
 
 
+def _split_lines(text: str) -> list[str]:
+    # LF, CRLF and CR only: str.splitlines also splits at FF, NEL, LS and more.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]  # a final line end starts no line
+
+
 def decode_lines(data: bytes) -> list[str]:
-    """Split UTF-8 bytes into lines without their line ends. A byte that is
-    not UTF-8 raises ParseError naming its line, numbered as every parser
-    here numbers lines."""
+    """Split UTF-8 bytes into lines without their line ends; only LF, CRLF
+    and CR end a line. A byte that is not UTF-8 raises ParseError naming its
+    line, numbered as every parser here numbers lines."""
     try:
-        return data.decode("utf-8").splitlines()
+        return _split_lines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line = len(_split_lines(data[: exc.start].decode("utf-8") + "x"))
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", line=line) from None
 
 
@@ -259,7 +267,7 @@ class Corpus(Record):
         object.__setattr__(self, "vocabulary", vocabulary)
         object.__setattr__(self, "sequences", sequences)
         object.__setattr__(self, "source", source)
-        size = len(self.vocabulary)
+        size = self.vocabulary.size
         for seq in self.sequences:
             ids = seq.units
             if ids and (min(ids) < 0 or max(ids) >= size):
@@ -288,29 +296,34 @@ def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
         raise
 
 
-def _parse_dau_lines(lines: list[str], vocabulary: BaseVocabulary | None):
+def _parse_dau_lines(lines: Iterable[str], vocabulary: BaseVocabulary | None):
+    # Each line is checked as it is parsed, so the first bad line is named.
+    size = None if vocabulary is None else vocabulary.size
+    top = -1  # the largest id, which sizes an inferred vocabulary
     raw: list[tuple[int, ...]] = []
     for lineno, line in enumerate(lines, start=1):
         ids = parse_id_line(line, lineno)
-        if ids and min(ids) < 0:
-            bad = next(i for i in ids if i < 0)
-            raise ValidationError(f"line {lineno}: negative unit id {bad}")
+        if ids:
+            if min(ids) < 0:
+                bad = next(i for i in ids if i < 0)
+                raise ValidationError(f"line {lineno}: negative unit id {bad}")
+            high = max(ids)
+            if size is None:
+                top = max(top, high)
+            elif high >= size - 3:  # the specials are the last three ids
+                for i in ids:
+                    if i >= size:
+                        raise ValidationError(f"line {lineno}: unit id {i} outside vocabulary of size {size}")
+                    if i >= size - 3:
+                        raise ValidationError(f"line {lineno}: id {i} is a reserved special token")
         raw.append(ids)
     if vocabulary is None:
-        return raw, dau_vocabulary(max((max(ids) for ids in raw if ids), default=-1) + 1)
-    size = len(vocabulary)
-    for lineno, ids in enumerate(raw, start=1):
-        if ids and max(ids) >= size - 3:  # the specials are the last three ids
-            for i in ids:
-                if i >= size:
-                    raise ValidationError(f"line {lineno}: unit id {i} outside vocabulary of size {size}")
-                if i >= size - 3:
-                    raise ValidationError(f"line {lineno}: id {i} is a reserved special token")
+        vocabulary = dau_vocabulary(top + 1)
     return raw, vocabulary
 
 
 def _parse_symbolic_lines(
-    lines: list[str], vocabulary: BaseVocabulary | None, boundary_label: str | None
+    lines: Iterable[str], vocabulary: BaseVocabulary | None, boundary_label: str | None
 ):
     unlabelled = vocabulary is None or vocabulary.labels is None
     # A list when the labels are read before parsing, to infer or to map them.
@@ -347,11 +360,10 @@ def read_corpus(
     """Parse corpus lines (one sequence each). See load_corpus."""
     if format not in FORMATS:
         raise ContractError(f"unknown corpus format {format!r}")
-    line_list = [ln.rstrip("\n").rstrip("\r") for ln in lines]
     if format == FORMAT_DAU:
-        raw, vocab = _parse_dau_lines(line_list, vocabulary)
+        raw, vocab = _parse_dau_lines(lines, vocabulary)
     else:
-        raw, vocab = _parse_symbolic_lines(line_list, vocabulary, boundary_label)
+        raw, vocab = _parse_symbolic_lines(lines, vocabulary, boundary_label)
     return Corpus(vocab, tuple(UnitSequence(ids) for ids in raw), source=source)
 
 

@@ -274,7 +274,7 @@ class AnalysisReport(Record):
 def analyze(corpus: Corpus, table: MergeTable) -> AnalysisReport:
     """Run the full before/after analysis of a corpus under a merge table:
     encode it, then compare lengths and balance before and after."""
-    base_size = len(table.base)
+    base_size = table.base.size
     token_size = table.vocab_size
     encoded = encode_corpus(corpus, table)
     if not corpus.sequences or encoded.mean_tokens is None:

@@ -45,7 +45,7 @@ def naive_train(corpus: Corpus, options: TrainOptions) -> MergeTable:
     """Train by full rescans: count all pairs, merge the most frequent
     (ties to smallest (left, right)), rewrite the corpus, repeat."""
     vocab = corpus.vocabulary
-    base_size = len(vocab)
+    base_size = vocab.size
     if options.target_size <= base_size:
         raise ContractError(
             f"target_size {options.target_size} must exceed base vocabulary size {base_size}"
@@ -74,7 +74,7 @@ def naive_train(corpus: Corpus, options: TrainOptions) -> MergeTable:
 def naive_encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:
     """Encode by repeatedly applying the lowest-rank applicable merge at its
     leftmost occurrence until no rule applies."""
-    base_size = len(table.base)
+    base_size = table.base.size
     for uid in seq.units:
         if not 0 <= uid < base_size:
             raise ValidationError(f"unit id {uid} outside base vocabulary of size {base_size}")

@@ -18,6 +18,7 @@ from unitbpe import (
     dau_vocabulary,
     encode_corpus,
     load_merge_table,
+    naive_train,
     pair_counts,
     parse_merge_table,
     read_corpus,
@@ -25,6 +26,7 @@ from unitbpe import (
     symbolic_vocabulary,
     train,
 )
+from unitbpe.bpe import header_boundary_label
 from tests.conftest import random_corpus
 
 
@@ -183,6 +185,14 @@ class TestMergeTableInvariants:
         assert table.token_surface(n + 1) == (0, 1, 2)
         assert table.token_label(n + 1) == "a+b+c"
 
+    def test_rule_index_is_built_with_the_table(self):
+        vocab = letters("a", "b", "c")
+        n = vocab.size
+        table = MergeTable(vocab, (Merge(0, 0, 1, n), Merge(1, n, 2, n + 1)))
+        rules, shift = vars(table)["packed_rules"]  # set by the constructor, not on first use
+        assert rules == {(0 << shift) | 1: (0, n), (n << shift) | 2: (1, n + 1)}
+        assert shift == (n + 1).bit_length()
+
     def test_rules_must_be_merges(self):
         # A plain 4-tuple has no named fields: the table fails where it is
         # built, not on first use of the rules.
@@ -325,3 +335,57 @@ class TestMergeFileErrors:
             parse_merge_table(lines, letters("a", "b", "c", boundary="_"))
         assert str(err.value) == message
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "rows, label",
+        [
+            (_VALID_FILE, "_"),
+            (_VALID_FILE[:3], "_"),
+            (["unitbpe-v1", "7", " "], None),
+            (["unitbpe-v1", "seven", "_"], "_"),
+            (["unitbpe-v0", "7", "_"], None),
+            (_VALID_FILE[:2], None),
+            ([], None),
+        ],
+        ids=["table", "header-only", "blank-label", "bad-size", "bad-magic", "truncated", "empty"],
+    )
+    def test_header_boundary_label(self, rows, label):
+        assert header_boundary_label(rows) == label
+
+    def test_first_malformed_row_is_named(self):
+        lines = [*_VALID_FILE[:4], "1 7 x 8", "2 8 0", ""]
+        with pytest.raises(ParseError) as err:
+            parse_merge_table(lines, letters("a", "b", "c", boundary="_"))
+        assert str(err.value) == "line 5: non-integer field in merge row '1 7 x 8'"
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: TrainOptions(8, min_pair_count=0), ContractError, "min_pair_count must be at least 1"),
+            (lambda: TrainOptions(2**63 + 1), ContractError, "target_size must be at most 2^63"),
+            (lambda: MergeTable(letters("a"), ()).token_surface(4), ValidationError,
+             "token id 4 outside vocabulary of size 4"),
+            (lambda: MergeTable(letters("a"), ()).token_surface(-1), ValidationError,
+             "token id -1 outside vocabulary of size 4"),
+            (lambda: train(read_corpus(["0 1 0 1"], "dau-int"), TrainOptions(8), threads=0), ContractError,
+             "threads must be at least 1"),
+        ],
+        ids=["min-pair-count-0", "target-above-2^63", "surface-past-end", "surface-negative", "threads-0"],
+    )
+    def test_error_type_and_text(self, call, error, message):
+        with pytest.raises(UnitBpeError) as err:
+            call()
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_ids_up_to_2_63_train_exactly(self):
+        # Base size 2^63 - 4 and target 2^63: every id stays below 2^63.
+        top = 2**63 - 8
+        corpus = read_corpus([f"{top} 1 {top} 1 {top} 1"], "dau-int")
+        options = TrainOptions(2**63)
+        table = train(corpus, options)
+        assert table == naive_train(corpus, options)
+        z = corpus.vocabulary.size
+        assert table.merges == (Merge(0, top, 1, z), Merge(1, z, z, z + 1))

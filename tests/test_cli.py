@@ -19,6 +19,11 @@ LAZY_MODULES = {"unitbpe.metrics", "unitbpe.oracle", "unitbpe.synth"}
 STARTUP_FREE = {"dataclasses", "inspect"}
 
 
+def stdin_of(text: str) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin with a byte buffer, as the real one has."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -72,7 +77,7 @@ class TestTrain:
         assert len(lines) > 3
 
     def test_stdout_and_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("0 1 0 1\n0 1\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("0 1 0 1\n0 1\n"))
         code, out, _ = run(capsys, "train", "--input", "-", "--target-size", "6")
         assert code == 0
         assert out.startswith("unitbpe-v1\n")
@@ -96,7 +101,7 @@ class TestTrain:
 
 
     def test_note_when_short_of_target(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 1 2 1 2\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("1 2 1 2 1 2\n"))
         code, out, err = run(capsys, "train", "--input", "-", "--target-size", "100")
         assert code == 0
         assert len(out.splitlines()) == 3 + 2
@@ -128,7 +133,7 @@ class TestTrain:
         ids=["no-pairs", "below-count", "no-boundary", "boundary-only"],
     )
     def test_note_names_why_training_stopped(self, capsys, monkeypatch, text, flags, note, oracle):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         code, _, err = run(capsys, "train", "--input", "-", "--target-size", "100", *flags, *oracle)
         assert code == 0
         assert err == f"unitbpe: note: {note}\n"
@@ -150,10 +155,10 @@ class TestEncodeDecode:
         assert back.read_text() == dau_corpus.read_text()
 
     def test_piped_round_trip(self, capsys, monkeypatch, dau_corpus, trained):
-        monkeypatch.setattr("sys.stdin", io.StringIO(dau_corpus.read_text()))
+        monkeypatch.setattr("sys.stdin", stdin_of(dau_corpus.read_text()))
         code, encoded, _ = run(capsys, "encode", "--input", "-", "--merges", str(trained))
         assert code == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(encoded))
+        monkeypatch.setattr("sys.stdin", stdin_of(encoded))
         code, decoded, _ = run(capsys, "decode", "--input", "-", "--merges", str(trained))
         assert code == 0
         assert decoded == dau_corpus.read_text()
@@ -368,11 +373,35 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_decode_out_of_range_id_names_line(self, capsys, monkeypatch, trained):
-        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n99\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("0 1\n99\n"))
         code, out, err = run(capsys, "decode", "--input", "-", "--merges", str(trained))
         assert code == 1
         assert err == "unitbpe: error: line 2: token id 99 outside vocabulary of size 8\n"
         assert out == ""
+
+    def test_decode_names_the_first_bad_line(self, capsys, monkeypatch, trained):
+        # Every line is parsed, decoded and checked before the next is read.
+        monkeypatch.setattr("sys.stdin", stdin_of("99\n0 1\nx\n"))
+        code, out, err = run(capsys, "decode", "--input", "-", "--merges", str(trained))
+        assert (code, out, err) == (1, "", "unitbpe: error: line 1: token id 99 outside vocabulary of size 8\n")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files_read_as_lf(self, capsys, monkeypatch, end):
+        text = "0 1 0 1\n2 0\n\n1 1\n"
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
+        expected = run(capsys, "stats", "--input", "-", "--json")
+        monkeypatch.setattr("sys.stdin", stdin_of(text.replace("\n", end)))
+        assert run(capsys, "stats", "--input", "-", "--json") == expected
+        assert '"sequence_count": 4' in expected[1]
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"], ids=["FF", "NEL", "LS"])
+    def test_other_line_separators_stay_inside_a_line(self, capsys, monkeypatch, sep):
+        monkeypatch.setattr("sys.stdin", stdin_of(f"0 1{sep}2\n"))
+        code, out, _ = run(capsys, "stats", "--input", "-")
+        assert code == 0
+        assert out.startswith("sequence_count 1\ntotal_units 3\n")
+        monkeypatch.setattr("sys.stdin", stdin_of(f"0 1{sep}x\n"))
+        assert run(capsys, "stats", "--input", "-") == (1, "", "unitbpe: error: line 1: non-integer token 'x'\n")
 
     @pytest.mark.parametrize("fmt", ["dau-int", "symbolic"])
     def test_decode_special_id_is_1_with_line(self, capsys, monkeypatch, tmp_path, fmt):
@@ -386,7 +415,7 @@ class TestExitCodes:
             table_args += ["--vocab", str(vocab)]
             train_args += ["--save-vocab", str(vocab)]
         assert run(capsys, "train", "--input", str(corpus), "--format", fmt, *train_args)[0] == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n0 5\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("0 1\n0 5\n"))
         code, out, err = run(capsys, "decode", "--input", "-", *table_args)
         assert code == 1
         assert err == "unitbpe: error: line 2: token id 5 is a reserved special token\n"

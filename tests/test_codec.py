@@ -72,8 +72,9 @@ class TestEncode:
         b = vocab.boundary
         encoded = encode(UnitSequence((0, 1, b, 0, 1)), table)
         assert b in encoded.tokens
-        merged = table.pair_to_merge[(0, 1)].result
-        assert encoded.tokens == (merged, b, merged)
+        (rule,) = table.merges
+        assert (rule.left, rule.right) == (0, 1)
+        assert encoded.tokens == (rule.result, b, rule.result)
 
 
 class TestDecode:
@@ -110,6 +111,14 @@ class TestEncodeCorpus:
         other = symbolic_vocabulary(["x", "y", "z"], boundary_label=None)
         with pytest.raises(ValidationError):
             encode_corpus(Corpus(other, ()), table)
+
+    def test_threads_below_1_rejected(self):
+        corpus = read_corpus(["a b a b"], "symbolic", symbolic_vocabulary(["a", "b"]))
+        table = train(corpus, TrainOptions(target_size=corpus.vocabulary.size + 1))
+        with pytest.raises(ContractError) as err:
+            encode_corpus(corpus, table, threads=0)
+        assert type(err.value) is ContractError
+        assert str(err.value) == "threads must be at least 1"
 
     def test_thread_count_does_not_change_output(self):
         rng = random.Random(5)

@@ -24,8 +24,13 @@ from unitbpe import (
     symbolic_vocabulary,
 )
 from unitbpe.codec import read_token_lines
-from unitbpe.corpus import SPECIAL_LABELS, sequence_lines
-from unitbpe.errors import ContractError
+from unitbpe.corpus import SPECIAL_LABELS, decode_lines, sequence_lines
+from unitbpe.errors import ContractError, UnitBpeError
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 class TestVocabularies:
@@ -261,6 +266,76 @@ class TestCorpusParsing:
     def test_bad_token_on_line_3_message(self, parse, bad, error, message):
         with pytest.raises(error) as err:
             parse(["0 1", "", f"2 {bad} 3"])
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["5", "", "-1"], "line 1: id 5 is a reserved special token"),
+            (["9", "", "x"], "line 1: unit id 9 outside vocabulary of size 7"),
+            (["0 1", "4 -2", "x"], "line 2: negative unit id -2"),
+        ],
+        ids=["special-before-negative", "out-of-range-before-non-integer", "negative-before-special-in-line"],
+    )
+    def test_dau_int_reports_the_first_bad_line(self, lines, message):
+        with pytest.raises(UnitBpeError) as err:
+            read_corpus(lines, "dau-int", dau_vocabulary(4))
+        assert str(err.value) == message
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lf_crlf_and_cr_end_lines_alike(self, end):
+        text = "0 1\n\n2 3\n"
+        assert decode_lines(text.replace("\n", end).encode()) == ["0 1", "", "2 3"]
+        assert decode_lines(text.replace("\n", end).encode()[:-len(end)]) == ["0 1", "", "2 3"]
+
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_other_line_separators_split_tokens_not_lines(self, sep):
+        lines = decode_lines(f"0 1{sep}2\n3{sep}x\n".encode())
+        assert lines == [f"0 1{sep}2", f"3{sep}x"]
+        with pytest.raises(ParseError) as err:
+            read_corpus(lines, "dau-int")
+        assert str(err.value) == "line 2: non-integer token 'x'"
+        assert read_corpus(lines[:1], "dau-int").sequences == (UnitSequence((0, 1, 2)),)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_line_counts_the_same_line_ends(self, end):
+        data = f"0{end}1\x0c2{end}3 ".encode() + b"\xff"
+        with pytest.raises(ParseError) as err:
+            decode_lines(data)
+        assert str(err.value) == "line 3: byte 0xff is not valid UTF-8"
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda _: BaseVocabulary(5, ("a",)), ValidationError, "1 content labels do not fit a vocabulary of size 5"),
+            (lambda _: BaseVocabulary(2), ValidationError, "base size too small for synthesized vocabulary"),
+            (lambda _: BaseVocabulary(5, boundary=5), ValidationError, "boundary id 5 outside vocabulary"),
+            (lambda _: BaseVocabulary(5, boundary=-1), ValidationError, "boundary id -1 outside vocabulary"),
+            (lambda _: BaseVocabulary(5, boundary=2), ValidationError, "boundary must not be a special token"),
+            (lambda _: BaseVocabulary(5).surface(5), ValidationError, "unit id 5 outside vocabulary of size 5"),
+            (lambda _: BaseVocabulary(5).surface(-1), ValidationError, "unit id -1 outside vocabulary of size 5"),
+            (lambda _: dau_vocabulary(-1), ContractError, "cluster count must be non-negative"),
+            (lambda tmp: load_vocabulary(write(tmp / "v", "a\n\nb\n")), ParseError, "line 2: empty label"),
+            (lambda _: list(sequence_lines([], dau_vocabulary(2), "csv")), ContractError,
+             "unknown corpus format 'csv'"),
+        ],
+        ids=[
+            "labels-do-not-fit", "size-too-small", "boundary-past-end", "boundary-negative",
+            "boundary-special", "surface-past-end", "surface-negative", "negative-clusters",
+            "empty-sidecar-label", "unknown-render-format",
+        ],
+    )
+    def test_error_type_and_text(self, tmp_path, call, error, message):
+        with pytest.raises(UnitBpeError) as err:
+            call(tmp_path)
         assert type(err.value) is error
         assert str(err.value) == message
 

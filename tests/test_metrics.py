@@ -55,6 +55,22 @@ class TestDistribution:
         with pytest.raises(ContractError):
             Distribution({0: 0.6, 1: 0.6}, 2)
 
+    @pytest.mark.parametrize(
+        "mass, support, message",
+        [
+            ({}, 0, "support_size must be positive"),
+            ({0: 1.5, 1: -0.5}, 2, "negative probability for id 1"),
+            ({0: 0.5, 2: 0.5}, 2, "id 2 outside support of size 2"),
+            ({0: 0.6, 1: 0.6}, 2, "probabilities sum to 1.2, not 1"),
+        ],
+        ids=["empty-support", "negative-mass", "id-outside-support", "sum-not-1"],
+    )
+    def test_contract_error_text(self, mass, support, message):
+        with pytest.raises(ContractError) as err:
+            Distribution(mass, support)
+        assert type(err.value) is ContractError
+        assert str(err.value) == message
+
 
 class TestNormalizedEntropy:
     def test_uniform_is_one(self):

@@ -4,16 +4,20 @@ and encoder must match them exactly on randomized inputs."""
 import io
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitbpe import (
+    ContractError,
     Corpus,
     Merge,
     MergeTable,
     TokenSequence,
     TrainOptions,
+    UnitBpeError,
     UnitSequence,
+    ValidationError,
     dau_vocabulary,
     decode,
     encode,
@@ -31,6 +35,24 @@ from tests.conftest import random_corpus, random_sequence
 
 
 class TestReferenceBehavior:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: naive_train(read_corpus(["0 1"], "dau-int"), TrainOptions(5)), ContractError,
+             "target_size 5 must exceed base vocabulary size 5"),
+            (lambda: naive_encode(UnitSequence((0, 9)), MergeTable(dau_vocabulary(2), ())), ValidationError,
+             "unit id 9 outside base vocabulary of size 5"),
+            (lambda: naive_encode(UnitSequence((-1,)), MergeTable(dau_vocabulary(2), ())), ValidationError,
+             "unit id -1 outside base vocabulary of size 5"),
+        ],
+        ids=["train-target-not-above-base", "encode-id-past-end", "encode-negative-id"],
+    )
+    def test_error_type_and_text(self, call, error, message):
+        with pytest.raises(UnitBpeError) as err:
+            call()
+        assert type(err.value) is error
+        assert str(err.value) == message
+
     def test_empty_corpus_trains_to_empty_table(self):
         corpus = read_corpus([], "dau-int")
         table = naive_train(corpus, TrainOptions(target_size=len(corpus.vocabulary) + 5))

@@ -68,7 +68,36 @@ def test_large_id_costs_what_a_small_one_does(files, argv, out):
     assert "Traceback" not in proc.stderr
 
 
-IDS = st.one_of(st.integers(0, 20), st.integers(0, 10**12))
+@pytest.mark.parametrize("n", [2**63 - 4, 2**63, 2**64], ids=["2^63-4", "2^63", "2^64"])
+def test_ids_and_sizes_past_int64_exit_cleanly(tmp_path, n):
+    # c.txt holds id n, m.bpe records base size n, and t.txt token id n.
+    (tmp_path / "c.txt").write_text(f"1 {n}\n{n} 1 {n} 1 {n} 1\n", encoding="utf-8")
+    (tmp_path / "s.txt").write_text("1 2\n", encoding="utf-8")
+    (tmp_path / "t.txt").write_text(f"1 {n}\n", encoding="utf-8")
+    (tmp_path / "m.bpe").write_text(f"unitbpe-v1\n{n}\n\n", encoding="utf-8")
+    table = ["--merges", "m.bpe", "--out", "o.txt"]
+    cases = [
+        (["stats", "--input", "c.txt", "--out", "o.txt"], 0),
+        # The base of c.txt is n + 4 > 2^63 - 1, so no target may exceed it.
+        (["train", "--input", "c.txt", "--target-size", str(n + 10), "--out", "o.txt"], 1),
+        (["train", "--input", "c.txt", "--target-size", str(2**63), "--out", "o.txt"], 1),
+        (["train", "--input", "c.txt", "--target-size", str(2**63), "--oracle", "--out", "o.txt"], 1),
+        (["encode", "--input", "s.txt", *table], 0),
+        (["encode", "--input", "s.txt", "--oracle", *table], 0),
+        (["encode", "--input", "c.txt", *table], 1),
+        (["decode", "--input", "s.txt", *table], 0),
+        (["decode", "--input", "s.txt", "--format", "symbolic", *table], 0),
+        (["decode", "--input", "t.txt", *table], 1),
+        (["analyze", "--input", "s.txt", "--json", *table], 0),
+        (["analyze", "--input", "c.txt", *table], 1),
+    ]
+    proc = run_limited(tmp_path, "-c", CHILD, json.dumps([argv for argv, _ in cases]))
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code for _, code in cases]
+
+
+IDS = st.one_of(st.integers(0, 20), st.integers(0, 10**12), st.integers(0, 2**65))
 LINES = st.lists(st.lists(IDS, max_size=6).map(lambda ids: " ".join(map(str, ids))), max_size=4)
 
 
@@ -78,7 +107,7 @@ LINES = st.lists(st.lists(IDS, max_size=6).map(lambda ids: " ".join(map(str, ids
     tokens=LINES,
     base=IDS,
     rows=st.lists(st.tuples(IDS, IDS, IDS, IDS), max_size=3),
-    target=st.integers(1, 10**12 + 10),
+    target=st.one_of(st.integers(1, 10**12 + 10), st.integers(1, 2**65)),
 )
 def test_small_inputs_with_large_ids_exit_cleanly(corpus, tokens, base, rows, target):
     with tempfile.TemporaryDirectory() as tmp:

@@ -15,6 +15,33 @@ from unitbpe import (
 )
 
 
+ZIPF = dict(seed=1, vocab_size=4, num_sequences=1, mean_length=1, exponent=1.0)
+RUNS = dict(seed=1, clusters=4, num_sequences=1, mean_length=1, mean_run=2.0)
+
+
+@pytest.mark.parametrize(
+    "make, fields, message",
+    [
+        (ZipfSpec, dict(ZIPF, vocab_size=1), "vocab_size must be at least 2"),
+        (ZipfSpec, dict(ZIPF, exponent=-0.5), "exponent must be non-negative"),
+        (ZipfSpec, dict(ZIPF, num_sequences=-1), "num_sequences and mean_length must be non-negative"),
+        (ZipfSpec, dict(ZIPF, mean_length=-1), "num_sequences and mean_length must be non-negative"),
+        (RunLengthSpec, dict(RUNS, clusters=1), "clusters must be at least 2"),
+        (RunLengthSpec, dict(RUNS, mean_run=0.5), "mean_run must be at least 1"),
+        (RunLengthSpec, dict(RUNS, transition_skew=-0.5), "transition_skew must be non-negative"),
+        (RunLengthSpec, dict(RUNS, num_sequences=-1), "num_sequences and mean_length must be non-negative"),
+        (RunLengthSpec, dict(RUNS, mean_length=-1), "num_sequences and mean_length must be non-negative"),
+    ],
+    ids=["zipf-vocab-size", "zipf-exponent", "zipf-sequences", "zipf-length", "runlength-clusters",
+         "runlength-mean-run", "runlength-skew", "runlength-sequences", "runlength-length"],
+)
+def test_spec_contract_error_text(make, fields, message):
+    with pytest.raises(ContractError) as err:
+        make(**fields)
+    assert type(err.value) is ContractError
+    assert str(err.value) == message
+
+
 class TestSplitMix64:
     def test_reference_vectors(self):
         # Standard splitmix64 output; any platform must reproduce these.
