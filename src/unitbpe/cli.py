@@ -60,102 +60,109 @@ def _write_lines(out: IO[str], lines) -> None:
         out.write(line + "\n")
 
 
-def _add_io_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="input file, or - for stdin")
-    p.add_argument("--out", default="-", help="output file, or - for stdout (default)")
-    p.add_argument(
+def _parent() -> argparse.ArgumentParser:
+    """A parser that only holds options, for subcommands to share as a parent."""
+    return argparse.ArgumentParser(add_help=False)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    io = _parent()
+    io.add_argument("--input", required=True, help="input file, or - for stdin")
+    io.add_argument("--out", default="-", help="output file, or - for stdout (default)")
+    io.add_argument(
         "--format",
         choices=FORMATS,
         default=FORMAT_DAU,
         help=f"corpus layout (default {FORMAT_DAU})",
     )
 
-
-def _add_vocab_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vocab", help="vocabulary sidecar file (one label per line)")
-    p.add_argument(
+    corpus_vocab = _parent()
+    corpus_vocab.add_argument("--vocab", help="vocabulary sidecar file (one label per line)")
+    corpus_vocab.add_argument(
         "--boundary",
         default=DEFAULT_BOUNDARY_LABEL,
         help=f"word-boundary label for symbolic corpora (default {DEFAULT_BOUNDARY_LABEL!r})",
     )
-    p.add_argument(
+    corpus_vocab.add_argument(
         "--no-boundary",
         action="store_true",
         help="treat no label as a boundary and merge freely across words",
     )
 
+    table = _parent()
+    table.add_argument("--merges", required=True, help="merge-table file from train")
+    table.add_argument("--vocab", help="vocabulary sidecar file; its boundary label is the table's line 3")
 
-def _add_table_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--merges", required=True, help="merge-table file from train")
-    p.add_argument("--vocab", help="vocabulary sidecar file; its boundary label is the table's line 3")
+    threads = _parent()
+    threads.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; output is identical for any count"
+    )
 
+    as_json = _parent()
+    as_json.add_argument("--json", action="store_true")
 
-_THREADS_HELP = "accepted for compatibility; output is identical for any count"
+    out = _parent()
+    out.add_argument("--out", default="-")
 
+    # Every synth option's dest is a field of ZipfSpec or RunLengthSpec.
+    spec = _parent()
+    spec.add_argument("--seed", type=int, required=True)
+    spec.add_argument("--sequences", dest="num_sequences", metavar="SEQUENCES", type=int, required=True)
+    spec.add_argument(
+        "--length", dest="mean_length", metavar="LENGTH", type=int, required=True, help="units per sequence"
+    )
 
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitbpe",
         description="Train and apply pair-merge tokenizers over discrete unit corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="learn a merge table from a corpus")
-    _add_io_args(p)
-    _add_vocab_args(p)
+    p = sub.add_parser("train", parents=[io, corpus_vocab, threads], help="learn a merge table from a corpus")
     p.add_argument("--target-size", type=int, required=True, help="desired merged vocabulary size")
     p.add_argument("--min-pair-count", type=int, default=2, help="stop once the best pair is rarer than this")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--oracle", action="store_true", help="use the slow reference trainer")
     p.add_argument("--save-vocab", help="also write the (possibly inferred) vocabulary sidecar here")
+    p.set_defaults(run=_cmd_train)
 
-    p = sub.add_parser("encode", help="tokenize a corpus with a merge table")
-    _add_io_args(p)
-    _add_table_args(p)
+    p = sub.add_parser("encode", parents=[io, table, threads], help="tokenize a corpus with a merge table")
     p.add_argument("--surfaces", action="store_true", help="print unit labels joined by + instead of token ids")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--oracle", action="store_true", help="use the slow reference encoder")
+    p.set_defaults(run=_cmd_encode)
 
-    p = sub.add_parser("decode", help="restore unit sequences from token ids")
-    _add_io_args(p)
-    _add_table_args(p)
+    p = sub.add_parser("decode", parents=[io, table], help="restore unit sequences from token ids")
+    p.set_defaults(run=_cmd_decode)
 
-    p = sub.add_parser("stats", help="length and run-length statistics of a corpus")
-    _add_io_args(p)
-    _add_vocab_args(p)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser(
+        "stats", parents=[io, corpus_vocab, as_json], help="length and run-length statistics of a corpus"
+    )
+    p.set_defaults(run=_cmd_stats)
 
-    p = sub.add_parser("analyze", help="compression and balance report for a corpus under a table")
-    _add_io_args(p)
-    _add_table_args(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p = sub.add_parser(
+        "analyze",
+        parents=[io, table, as_json, threads],
+        help="compression and balance report for a corpus under a table",
+    )
+    p.set_defaults(run=_cmd_analyze)
 
-    p = sub.add_parser("tradeoff", help="whole-sequence success probability (1-eps)^n")
+    p = sub.add_parser("tradeoff", parents=[as_json, out], help="whole-sequence success probability (1-eps)^n")
     p.add_argument("--eps", type=float, nargs="+", required=True, help="per-token error rate(s)")
     p.add_argument("--n", type=int, nargs="+", required=True, help="sequence length(s)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default="-")
+    p.set_defaults(run=_cmd_tradeoff)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     kinds = p.add_subparsers(dest="kind", required=True)
 
-    z = kinds.add_parser("zipf", help="i.i.d. Zipf-weighted unit draws")
-    z.add_argument("--seed", type=int, required=True)
-    z.add_argument("--vocab-size", type=int, required=True, help="content units (specials are added)")
-    z.add_argument("--sequences", type=int, required=True)
-    z.add_argument("--length", type=int, required=True, help="units per sequence")
-    z.add_argument("--exponent", type=float, default=1.0, help="Zipf exponent (0 = uniform)")
-    z.add_argument("--out", default="-")
+    p = kinds.add_parser("zipf", parents=[spec, out], help="i.i.d. Zipf-weighted unit draws")
+    p.add_argument("--vocab-size", type=int, required=True, help="content units (specials are added)")
+    p.add_argument("--exponent", type=float, default=1.0, help="Zipf exponent (0 = uniform)")
+    p.set_defaults(run=_cmd_synth)
 
-    r = kinds.add_parser("runlength", help="repeated-unit runs with geometric lengths")
-    r.add_argument("--seed", type=int, required=True)
-    r.add_argument("--clusters", type=int, required=True, help="content units (specials are added)")
-    r.add_argument("--sequences", type=int, required=True)
-    r.add_argument("--length", type=int, required=True, help="units per sequence")
-    r.add_argument("--mean-run", type=float, default=1.0)
-    r.add_argument("--transition-skew", type=float, default=0.0)
-    r.add_argument("--out", default="-")
+    p = kinds.add_parser("runlength", parents=[spec, out], help="repeated-unit runs with geometric lengths")
+    p.add_argument("--clusters", type=int, required=True, help="content units (specials are added)")
+    p.add_argument("--mean-run", type=float, default=1.0)
+    p.add_argument("--transition-skew", type=float, default=0.0)
+    p.set_defaults(run=_cmd_synth)
 
     return parser
 
@@ -251,20 +258,23 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    import json
+def _write_fields(args, fields: dict) -> None:
+    """A report to --out: ``name value`` lines, or an indented JSON object."""
+    with _out_stream(args.out) as out:
+        if args.json:
+            import json
 
+            out.write(json.dumps(fields, indent=2) + "\n")
+        else:
+            _write_lines(out, (f"{k} {v}" for k, v in fields.items()))
+
+
+def _cmd_stats(args) -> int:
     from .metrics import corpus_run_length_mean
 
     corpus = _read_corpus(args)
-    cs = corpus_stats(corpus)
     run_mean = corpus_run_length_mean(s.units for s in corpus.sequences)
-    record = dict(cs._asdict(), run_length_mean=run_mean)
-    with _out_stream(args.out) as out:
-        if args.json:
-            out.write(json.dumps(record, indent=2) + "\n")
-        else:
-            _write_lines(out, (f"{k} {v}" for k, v in record.items()))
+    _write_fields(args, dict(corpus_stats(corpus)._asdict(), run_length_mean=run_mean))
     return 0
 
 
@@ -272,9 +282,7 @@ def _cmd_analyze(args) -> int:
     from .metrics import analyze
 
     table = _load_table(args)
-    report = analyze(_read_corpus(args, table.base), table)
-    with _out_stream(args.out) as out:
-        out.write(report.to_json() + "\n" if args.json else report.to_text())
+    _write_fields(args, analyze(_read_corpus(args, table.base), table)._asdict())
     return 0
 
 
@@ -300,38 +308,13 @@ def _cmd_synth(args) -> int:
     from . import synth
 
     if args.kind == "zipf":
-        spec = synth.ZipfSpec(
-            seed=args.seed,
-            vocab_size=args.vocab_size,
-            num_sequences=args.sequences,
-            mean_length=args.length,
-            exponent=args.exponent,
-        )
-        corpus = synth.gen_zipf_corpus(spec)
+        spec, generate = synth.ZipfSpec, synth.gen_zipf_corpus
     else:
-        spec = synth.RunLengthSpec(
-            seed=args.seed,
-            clusters=args.clusters,
-            num_sequences=args.sequences,
-            mean_length=args.length,
-            mean_run=args.mean_run,
-            transition_skew=args.transition_skew,
-        )
-        corpus = synth.gen_runlength_corpus(spec)
+        spec, generate = synth.RunLengthSpec, synth.gen_runlength_corpus
+    corpus = generate(spec(**{f: getattr(args, f) for f in spec._fields}))
     with _out_stream(args.out) as out:
         _write_lines(out, corpus_lines(corpus, FORMAT_DAU))
     return 0
-
-
-_COMMANDS = {
-    "train": _cmd_train,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "stats": _cmd_stats,
-    "analyze": _cmd_analyze,
-    "tradeoff": _cmd_tradeoff,
-    "synth": _cmd_synth,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -346,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         # train, encode and analyze accept --threads; --oracle never reads it.
         if getattr(args, "threads", 1) < 1:
             raise ContractError("threads must be at least 1")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (UnitBpeError, OSError) as exc:
         print(f"unitbpe: error: {exc}", file=sys.stderr)
         return 1

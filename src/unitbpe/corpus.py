@@ -91,7 +91,8 @@ class BaseVocabulary(Record):
     content unit that merges must never span.
 
     ``labels`` holds the content labels in id order, or is None when content
-    id ``i`` is labelled ``str(i)``, as in a DAU vocabulary. Labels that are
+    id ``i`` is labelled ``str(i)``, as in a DAU vocabulary. Each label is
+    one token without whitespace, so files can hold it. Labels that are
     exactly ``"0", "1", ...`` are stored as None, so equal labels make equal
     vocabularies. Nothing is stored per id of an unlabelled vocabulary.
     """
@@ -102,6 +103,9 @@ class BaseVocabulary(Record):
         if labels is not None:
             if len(labels) != size - 3:
                 raise ValidationError(f"{len(labels)} content labels do not fit a vocabulary of size {size}")
+            if " ".join(labels).split() != list(labels):  # no file could hold such a label
+                bad = next(label for label in labels if label.split() != [label])
+                raise ValidationError(f"label must be one token without whitespace, got {bad!r}")
             if not _RESERVED.isdisjoint(labels):
                 raise ValidationError(f"label {next(filter(_RESERVED.__contains__, labels))!r} is reserved")
             last = dict(zip(labels, count()))  # each label's last id
@@ -183,8 +187,9 @@ def symbolic_vocabulary(
     labels: Iterable[str], boundary_label: str | None = DEFAULT_BOUNDARY_LABEL
 ) -> BaseVocabulary:
     """Vocabulary from content labels in order, appending the boundary label
-    (when configured and absent) and the three specials. A reserved or
-    repeated label, the boundary label included, is a ValidationError."""
+    (when configured and absent) and the three specials. An empty, reserved
+    or repeated label, or one that holds whitespace, the boundary label
+    included, is a ValidationError."""
     content = tuple(labels)
     if boundary_label is not None and boundary_label not in content:
         content += (boundary_label,)
@@ -329,9 +334,13 @@ def _parse_symbolic_lines(
     # A list when the labels are read before parsing, to infer or to map them.
     rows = [line.split() for line in lines] if unlabelled else map(str.split, lines)
     if vocabulary is None:
-        # Labels in first-appearance order; symbolic_vocabulary rejects the
-        # first reserved one, so the inferred vocabulary has every label.
-        vocabulary = symbolic_vocabulary(dict.fromkeys(chain.from_iterable(rows)), boundary_label)
+        # Labels in first-appearance order; a reserved one is named with its
+        # first line, as a given vocabulary's lookup below names it.
+        labels = dict.fromkeys(chain.from_iterable(rows))
+        if not _RESERVED.isdisjoint(labels):
+            lineno, label = next((i, t) for i, row in enumerate(rows, start=1) for t in row if t in _RESERVED)
+            raise ValidationError(f"line {lineno}: label {label!r} is a reserved special token")
+        vocabulary = symbolic_vocabulary(labels, boundary_label)
     to_id, special = vocabulary._lookup(chain.from_iterable(rows)), vocabulary.special
     raw = []
     for lineno, row in enumerate(rows, start=1):

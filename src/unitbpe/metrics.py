@@ -9,7 +9,6 @@ is always the full vocabulary size, so unused tokens lower the score.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
@@ -263,12 +262,6 @@ class AnalysisReport(Record):
         object.__setattr__(self, "run_length_mean", run_length_mean)
         object.__setattr__(self, "base_vocab", base_vocab)
         object.__setattr__(self, "token_vocab", token_vocab)
-
-    def to_json(self) -> str:
-        return json.dumps(self._asdict(), indent=2, sort_keys=False)
-
-    def to_text(self) -> str:
-        return "".join(f"{key} {value}\n" for key, value in self._asdict().items())
 
 
 def analyze(corpus: Corpus, table: MergeTable) -> AnalysisReport:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import unitbpe
-from unitbpe.cli import main
+from unitbpe.cli import build_parser, main
 
 LAZY_MODULES = {"unitbpe.metrics", "unitbpe.oracle", "unitbpe.synth"}
 # Modules the package's records do without; loading them costs a child
@@ -326,6 +326,76 @@ class TestSynthCommand:
         assert len(out.splitlines()) == 3
 
 
+class TestOptionTables:
+    """Each subcommand's options, defaults and required flags, as parsed."""
+
+    @pytest.mark.parametrize(
+        "argv, namespace, required",
+        [
+            (
+                "train --input c.txt --target-size 8",
+                {"command": "train", "input": "c.txt", "out": "-", "format": "dau-int", "vocab": None,
+                 "boundary": "_", "no_boundary": False, "target_size": 8, "min_pair_count": 2, "threads": 1,
+                 "oracle": False, "save_vocab": None},
+                ["--input", "--target-size"],
+            ),
+            (
+                "encode --input c.txt --merges m.bpe",
+                {"command": "encode", "input": "c.txt", "out": "-", "format": "dau-int", "merges": "m.bpe",
+                 "vocab": None, "surfaces": False, "threads": 1, "oracle": False},
+                ["--input", "--merges"],
+            ),
+            (
+                "decode --input t.txt --merges m.bpe",
+                {"command": "decode", "input": "t.txt", "out": "-", "format": "dau-int", "merges": "m.bpe",
+                 "vocab": None},
+                ["--input", "--merges"],
+            ),
+            (
+                "stats --input c.txt",
+                {"command": "stats", "input": "c.txt", "out": "-", "format": "dau-int", "vocab": None,
+                 "boundary": "_", "no_boundary": False, "json": False},
+                ["--input"],
+            ),
+            (
+                "analyze --input c.txt --merges m.bpe",
+                {"command": "analyze", "input": "c.txt", "out": "-", "format": "dau-int", "merges": "m.bpe",
+                 "vocab": None, "json": False, "threads": 1},
+                ["--input", "--merges"],
+            ),
+            (
+                "tradeoff --eps 0.1 --n 10",
+                {"command": "tradeoff", "eps": [0.1], "n": [10], "json": False, "out": "-"},
+                ["--eps", "--n"],
+            ),
+            (
+                "synth zipf --seed 1 --vocab-size 4 --sequences 2 --length 3",
+                {"command": "synth", "kind": "zipf", "seed": 1, "vocab_size": 4, "num_sequences": 2,
+                 "mean_length": 3, "exponent": 1.0, "out": "-"},
+                ["--seed", "--vocab-size", "--sequences", "--length"],
+            ),
+            (
+                "synth runlength --seed 1 --clusters 4 --sequences 2 --length 3",
+                {"command": "synth", "kind": "runlength", "seed": 1, "clusters": 4, "num_sequences": 2,
+                 "mean_length": 3, "mean_run": 1.0, "transition_skew": 0.0, "out": "-"},
+                ["--seed", "--clusters", "--sequences", "--length"],
+            ),
+        ],
+        ids=["train", "encode", "decode", "stats", "analyze", "tradeoff", "synth-zipf", "synth-runlength"],
+    )
+    def test_defaults_and_required_options(self, capsys, argv, namespace, required):
+        argv = argv.split()
+        parsed = vars(build_parser().parse_args(argv))
+        del parsed["run"]
+        assert parsed == namespace
+        for option in required:  # each takes one value in argv
+            i = argv.index(option)
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv[:i] + argv[i + 2:])
+            assert exc.value.code == 2
+            assert f"required: {option}" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys, dau_corpus):
         with pytest.raises(SystemExit) as exc:
@@ -463,6 +533,15 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert (code, err) == (1, "unitbpe: error: label '<eos>' is reserved\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["inferred", "sidecar"])
+    def test_reserved_corpus_label_is_1_with_line(self, capsys, tmp_path, sidecar):
+        corpus, vocab = tmp_path / "r.txt", tmp_path / "v.txt"
+        corpus.write_text("a b\nc <bos>\n", encoding="utf-8")
+        vocab.write_text("a\nb\nc\n", encoding="utf-8")
+        argv = ["stats", "--input", str(corpus), "--format", "symbolic", *(["--vocab", str(vocab)] if sidecar else [])]
+        err = "unitbpe: error: line 2: label '<bos>' is a reserved special token\n"
+        assert run(capsys, *argv) == (1, "", err)
 
     def test_sidecar_label_with_whitespace_is_1_with_line(self, capsys, tmp_path):
         # Corpus tokens are split on whitespace, so the label "b c" could

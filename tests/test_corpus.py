@@ -1,15 +1,17 @@
 """Vocabulary construction, corpus parsing, and boundary splitting."""
 
+import io
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitbpe import (
     BaseVocabulary,
     Corpus,
     ParseError,
+    TrainOptions,
     UnitSequence,
     ValidationError,
     corpus_stats,
@@ -17,12 +19,16 @@ from unitbpe import (
     join_chunks,
     load_corpus,
     load_vocabulary,
+    parse_merge_table,
     read_corpus,
     save_corpus,
+    save_merge_table,
     save_vocabulary,
     split_on_boundaries,
     symbolic_vocabulary,
+    train,
 )
+from unitbpe.bpe import header_boundary_label
 from unitbpe.codec import read_token_lines
 from unitbpe.corpus import SPECIAL_LABELS, decode_lines, sequence_lines
 from unitbpe.errors import ContractError, UnitBpeError
@@ -113,6 +119,30 @@ class TestVocabularies:
         assert (vocab.size, vocab.labels, vocab.boundary) == (10**12 + 3, None, None)
         assert vocab.special == frozenset(range(10**12, 10**12 + 3))
         assert vocab.surface(10**12 - 1) == str(10**12 - 1) and vocab.id_of("<eos>") == 10**12 + 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=st.lists(st.text(min_size=1, max_size=4), max_size=6, unique=True),
+        boundary=st.none() | st.integers(0, 5),
+    )
+    def test_every_accepted_vocabulary_round_trips_through_files(self, tmp_path_factory, labels, boundary):
+        # Empty and repeated labels are left to TestErrors, so most draws build.
+        if boundary is not None and boundary >= len(labels):
+            boundary = None
+        try:
+            vocab = BaseVocabulary(len(labels) + 3, tuple(labels), boundary)
+        except ValidationError:
+            return  # a label that holds whitespace or is reserved
+        sidecar = tmp_path_factory.mktemp("v") / "v.txt"
+        save_vocabulary(vocab, sidecar)
+        assert load_vocabulary(sidecar, boundary_label=vocab.boundary_surface) == vocab
+
+        units = tuple(vocab.content_ids()) * 2
+        table = train(Corpus(vocab, (UnitSequence(units),)), TrainOptions(target_size=vocab.size + 3))
+        out = io.StringIO()
+        save_merge_table(table, out)
+        lines = out.getvalue().splitlines()
+        assert parse_merge_table(lines, load_vocabulary(sidecar, header_boundary_label(lines))) == table
 
 
 # Tokens a symbolic line may hold: decimal ids, some past the content ids,
@@ -255,7 +285,10 @@ class TestCorpusParsing:
                 lambda lines: read_corpus(lines, "symbolic", symbolic_vocabulary(["0", "1", "2", "3"])),
                 "<eos>", ValidationError, "line 3: label '<eos>' is a reserved special token",
             ),
-            (lambda lines: read_corpus(lines, "symbolic"), "<bos>", ValidationError, "label '<bos>' is reserved"),
+            (
+                lambda lines: read_corpus(lines, "symbolic"),
+                "<bos>", ValidationError, "line 3: label '<bos>' is a reserved special token",
+            ),
             (read_token_lines, "4.0", ParseError, "line 3: non-integer token '4.0'"),
         ],
         ids=[
@@ -324,13 +357,20 @@ class TestErrors:
             (lambda _: BaseVocabulary(5).surface(-1), ValidationError, "unit id -1 outside vocabulary of size 5"),
             (lambda _: dau_vocabulary(-1), ContractError, "cluster count must be non-negative"),
             (lambda tmp: load_vocabulary(write(tmp / "v", "a\n\nb\n")), ParseError, "line 2: empty label"),
+            (lambda _: BaseVocabulary(5, ("a", "")), ValidationError,
+             "label must be one token without whitespace, got ''"),
+            (lambda _: BaseVocabulary(5, ("a b", "c")), ValidationError,
+             "label must be one token without whitespace, got 'a b'"),
+            (lambda _: symbolic_vocabulary(["a", "b"], boundary_label=" "), ValidationError,
+             "label must be one token without whitespace, got ' '"),
             (lambda _: list(sequence_lines([], dau_vocabulary(2), "csv")), ContractError,
              "unknown corpus format 'csv'"),
         ],
         ids=[
             "labels-do-not-fit", "size-too-small", "boundary-past-end", "boundary-negative",
             "boundary-special", "surface-past-end", "surface-negative", "negative-clusters",
-            "empty-sidecar-label", "unknown-render-format",
+            "empty-sidecar-label", "empty-label", "label-with-space", "whitespace-boundary-label",
+            "unknown-render-format",
         ],
     )
     def test_error_type_and_text(self, tmp_path, call, error, message):

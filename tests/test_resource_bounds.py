@@ -99,6 +99,10 @@ def test_ids_and_sizes_past_int64_exit_cleanly(tmp_path, n):
 
 IDS = st.one_of(st.integers(0, 20), st.integers(0, 10**12), st.integers(0, 2**65))
 LINES = st.lists(st.lists(IDS, max_size=6).map(lambda ids: " ".join(map(str, ids))), max_size=4)
+# Sidecar lines: labels that a corpus of ids can hold, the boundary, blank
+# lines, specials, labels with whitespace; repeats come from the draw itself.
+LABELS = st.one_of(IDS.map(str), st.sampled_from(["a", "_", "", "<pad>", "<bos>", "<eos>", "a b", " c"]))
+SIDECAR = st.lists(st.one_of(LABELS.map(str.encode), st.just(b"x\xff")), max_size=6)
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,15 +112,20 @@ LINES = st.lists(st.lists(IDS, max_size=6).map(lambda ids: " ".join(map(str, ids
     base=IDS,
     rows=st.lists(st.tuples(IDS, IDS, IDS, IDS), max_size=3),
     target=st.one_of(st.integers(1, 10**12 + 10), st.integers(1, 2**65)),
+    sidecar=SIDECAR,
+    label=st.one_of(st.just(""), LABELS),
 )
-def test_small_inputs_with_large_ids_exit_cleanly(corpus, tokens, base, rows, target):
+def test_small_inputs_with_large_ids_exit_cleanly(corpus, tokens, base, rows, target, sidecar, label):
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
         (cwd / "c.txt").write_text("".join(line + "\n" for line in corpus), encoding="utf-8")
         (cwd / "t.txt").write_text("".join(line + "\n" for line in tokens), encoding="utf-8")
         merges = [f"{rank} {left} {right} {result}" for rank, left, right, result in rows]
-        (cwd / "m.bpe").write_text("".join(f"{line}\n" for line in ["unitbpe-v1", base, "", *merges]), encoding="utf-8")
+        (cwd / "v.txt").write_bytes(b"".join(line + b"\n" for line in sidecar))
+        header = ["unitbpe-v1", base, label]
+        (cwd / "m.bpe").write_text("".join(f"{line}\n" for line in [*header, *merges]), encoding="utf-8")
         table = ["--merges", "m.bpe", "--out", "o.txt"]
+        symbolic = ["--format", "symbolic", "--vocab", "v.txt"]
         argvs = [
             ["stats", "--input", "c.txt", "--out", "o.txt"],
             ["train", "--input", "c.txt", "--target-size", str(target), "--out", "o.txt"],
@@ -125,6 +134,12 @@ def test_small_inputs_with_large_ids_exit_cleanly(corpus, tokens, base, rows, ta
             ["decode", "--input", "t.txt", *table],
             ["decode", "--input", "t.txt", "--format", "symbolic", *table],
             ["analyze", "--input", "c.txt", *table],
+            ["stats", "--input", "c.txt", *symbolic, "--out", "o.txt"],
+            ["train", "--input", "c.txt", "--format", "symbolic", "--target-size", str(target),
+             "--save-vocab", "s.txt", "--out", "o.txt"],
+            ["encode", "--input", "c.txt", *symbolic, *table],
+            ["decode", "--input", "t.txt", *symbolic, *table],
+            ["analyze", "--input", "c.txt", *symbolic, *table],
         ]
         proc = run_limited(cwd, "-c", CHILD, json.dumps(argvs))
     assert "Traceback" not in proc.stderr, proc.stderr
