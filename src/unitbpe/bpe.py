@@ -65,11 +65,9 @@ class TrainOptions(Record):
     """
 
     __slots__ = _fields = ("target_size", "respect_boundaries", "min_pair_count")
+    _defaults = {"respect_boundaries": True, "min_pair_count": 2}
 
-    def __init__(self, target_size: int, respect_boundaries: bool = True, min_pair_count: int = 2):
-        object.__setattr__(self, "target_size", target_size)
-        object.__setattr__(self, "respect_boundaries", respect_boundaries)
-        object.__setattr__(self, "min_pair_count", min_pair_count)
+    def _check(self) -> None:
         if self.min_pair_count < 1:
             raise ContractError("min_pair_count must be at least 1")
         if self.target_size > 1 << 63:  # so every id a trainer stores fits an int64
@@ -80,19 +78,23 @@ class MergeTable(Record):
     """An ordered list of merges over a base vocabulary.
 
     ``boundary`` records the barrier actually enforced when the table was
-    built (None when training was unconstrained); every rule is checked to
-    keep boundary and special units out of merged tokens, so token surfaces
-    never mix the boundary with other units. The same walk builds
-    ``packed_rules``: ``((left << shift) | right -> (rank, result), shift)``.
+    built: a content unit of ``base``, or None when training was
+    unconstrained. Every rule is checked to keep boundary and special units
+    out of merged tokens, so token surfaces never mix the boundary with
+    other units. The same walk builds ``packed_rules``:
+    ``((left << shift) | right -> (rank, result), shift)``.
     """
 
     _fields = ("base", "merges", "boundary")
+    _defaults = {"boundary": None}
 
-    def __init__(self, base: BaseVocabulary, merges: tuple[Merge, ...], boundary: int | None = None):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "merges", merges)
-        object.__setattr__(self, "boundary", boundary)
+    def _check(self) -> None:
         base_size = self.base.size
+        if self.boundary is not None:
+            if not 0 <= self.boundary < base_size:
+                raise ValidationError(f"boundary id {self.boundary} outside vocabulary")
+            if self.base.is_special(self.boundary):
+                raise ValidationError("boundary must not be a special token")
         blocked = self.base.special if self.boundary is None else self.base.special | {self.boundary}
         # Each side is checked to be below vocab_size, so a key is one pair.
         shift = max(1, (self.vocab_size - 1).bit_length())

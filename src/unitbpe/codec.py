@@ -121,11 +121,6 @@ class EncodedCorpus(Record):
 
     __slots__ = _fields = ("sequences", "total_units", "total_tokens")
 
-    def __init__(self, sequences: tuple[TokenSequence, ...], total_units: int, total_tokens: int):
-        object.__setattr__(self, "sequences", sequences)
-        object.__setattr__(self, "total_units", total_units)
-        object.__setattr__(self, "total_tokens", total_tokens)
-
     @property
     def mean_units(self) -> float | None:
         return self.total_units / len(self.sequences) if self.sequences else None

@@ -46,21 +46,47 @@ class Record:
     """Base of the package's immutable records.
 
     ``_fields`` names a record's fields in constructor order, as a named
-    tuple's does. A record equals only a record of its own class with equal
-    fields, hashes and prints by its fields, and refuses assignment and
-    deletion: its ``__init__`` sets each field with ``object.__setattr__``.
-    Records with cached properties keep an instance ``__dict__``; the others
-    store their fields in ``__slots__``.
+    tuple's does. The one constructor takes the fields by position or
+    keyword, fills those not given from the class's ``_defaults``, sets each
+    once and then calls ``_check``, where a record validates itself. A
+    missing field, a field given twice, an unknown keyword or too many
+    positional arguments raise TypeError. A record equals only a record of
+    its own class with equal fields, hashes and prints by its fields, and
+    refuses assignment and deletion. Records with cached properties keep an
+    instance ``__dict__``; the others store their fields in ``__slots__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        unknown = cls._defaults.keys() - set(cls._fields)
+        if unknown:
+            raise TypeError(f"{cls.__name__} has defaults for unknown fields {sorted(unknown)}")
         # A C-level getter, so comparing and hashing run no Python frame per
         # field: a round-trip check compares every decoded sequence.
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in fields[:len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+            object.__setattr__(self, field, values[field])
+        self._check()
+
+    def _check(self) -> None:
+        """Validate the fields once they are set; a record overrides it."""
 
     def _asdict(self) -> dict:
         """The fields by name, in order."""
@@ -121,9 +147,7 @@ class BaseVocabulary(Record):
                 raise ValidationError(f"boundary id {boundary} outside vocabulary")
             if boundary >= size - 3:
                 raise ValidationError("boundary must not be a special token")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "boundary", boundary)
+        super().__init__(size, labels, boundary)
 
     def __len__(self) -> int:
         return self.size
@@ -267,11 +291,9 @@ class Corpus(Record):
     """Immutable bundle of validated unit sequences plus their vocabulary."""
 
     __slots__ = _fields = ("vocabulary", "sequences", "source")
+    _defaults = {"source": ""}
 
-    def __init__(self, vocabulary: BaseVocabulary, sequences: tuple[UnitSequence, ...], source: str = ""):
-        object.__setattr__(self, "vocabulary", vocabulary)
-        object.__setattr__(self, "sequences", sequences)
-        object.__setattr__(self, "source", source)
+    def _check(self) -> None:
         size = self.vocabulary.size
         for seq in self.sequences:
             ids = seq.units
@@ -466,20 +488,6 @@ class CorpusStats(Record):
     """Length summary of a corpus; mean/min/max are None when empty."""
 
     __slots__ = _fields = ("sequence_count", "total_units", "mean_length", "min_length", "max_length")
-
-    def __init__(
-        self,
-        sequence_count: int,
-        total_units: int,
-        mean_length: float | None,
-        min_length: int | None,
-        max_length: int | None,
-    ):
-        object.__setattr__(self, "sequence_count", sequence_count)
-        object.__setattr__(self, "total_units", total_units)
-        object.__setattr__(self, "mean_length", mean_length)
-        object.__setattr__(self, "min_length", min_length)
-        object.__setattr__(self, "max_length", max_length)
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

@@ -28,9 +28,7 @@ class Distribution(Record):
 
     __slots__ = _fields = ("mass", "support_size")
 
-    def __init__(self, mass: dict[int, float], support_size: int):
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "support_size", support_size)
+    def _check(self) -> None:
         if self.support_size < 1:
             raise ContractError("support_size must be positive")
         total = 0.0
@@ -125,18 +123,6 @@ class RunLengthStats(Record):
     derived values."""
 
     __slots__ = _fields = ("runs", "mean_run", "max_run", "repetition_fraction")
-
-    def __init__(
-        self,
-        runs: tuple[tuple[int, int], ...],
-        mean_run: float | None,
-        max_run: int | None,
-        repetition_fraction: float | None,
-    ):
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "mean_run", mean_run)
-        object.__setattr__(self, "max_run", max_run)
-        object.__setattr__(self, "repetition_fraction", repetition_fraction)
 
 
 def run_length_stats(seq: UnitSequence | Sequence[int]) -> RunLengthStats:
@@ -238,30 +224,6 @@ class AnalysisReport(Record):
         "n_hat", "k_hat", "reduction", "bit_increase", "compression",
         "balance_before", "balance_after", "run_length_mean", "base_vocab", "token_vocab",
     )
-
-    def __init__(
-        self,
-        n_hat: float,
-        k_hat: float,
-        reduction: float,
-        bit_increase: float,
-        compression: float,
-        balance_before: float,
-        balance_after: float,
-        run_length_mean: float,
-        base_vocab: int,
-        token_vocab: int,
-    ):
-        object.__setattr__(self, "n_hat", n_hat)
-        object.__setattr__(self, "k_hat", k_hat)
-        object.__setattr__(self, "reduction", reduction)
-        object.__setattr__(self, "bit_increase", bit_increase)
-        object.__setattr__(self, "compression", compression)
-        object.__setattr__(self, "balance_before", balance_before)
-        object.__setattr__(self, "balance_after", balance_after)
-        object.__setattr__(self, "run_length_mean", run_length_mean)
-        object.__setattr__(self, "base_vocab", base_vocab)
-        object.__setattr__(self, "token_vocab", token_vocab)
 
 
 def analyze(corpus: Corpus, table: MergeTable) -> AnalysisReport:

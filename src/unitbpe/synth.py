@@ -66,12 +66,7 @@ class ZipfSpec(Record):
 
     __slots__ = _fields = ("seed", "vocab_size", "num_sequences", "mean_length", "exponent")
 
-    def __init__(self, seed: int, vocab_size: int, num_sequences: int, mean_length: int, exponent: float):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "vocab_size", vocab_size)
-        object.__setattr__(self, "num_sequences", num_sequences)
-        object.__setattr__(self, "mean_length", mean_length)
-        object.__setattr__(self, "exponent", exponent)
+    def _check(self) -> None:
         if self.vocab_size < 2:
             raise ContractError("vocab_size must be at least 2")
         if self.exponent < 0:
@@ -103,22 +98,9 @@ class RunLengthSpec(Record):
     """
 
     __slots__ = _fields = ("seed", "clusters", "num_sequences", "mean_length", "mean_run", "transition_skew")
+    _defaults = {"transition_skew": 0.0}
 
-    def __init__(
-        self,
-        seed: int,
-        clusters: int,
-        num_sequences: int,
-        mean_length: int,
-        mean_run: float,
-        transition_skew: float = 0.0,
-    ):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "num_sequences", num_sequences)
-        object.__setattr__(self, "mean_length", mean_length)
-        object.__setattr__(self, "mean_run", mean_run)
-        object.__setattr__(self, "transition_skew", transition_skew)
+    def _check(self) -> None:
         if self.clusters < 2:
             raise ContractError("clusters must be at least 2")
         if self.mean_run < 1:

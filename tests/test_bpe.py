@@ -369,10 +369,20 @@ class TestErrors:
              "token id 4 outside vocabulary of size 4"),
             (lambda: MergeTable(letters("a"), ()).token_surface(-1), ValidationError,
              "token id -1 outside vocabulary of size 4"),
+            (lambda: MergeTable(dau_vocabulary(3), (), boundary=7), ValidationError,
+             "boundary id 7 outside vocabulary"),
+            (lambda: MergeTable(dau_vocabulary(3), (), boundary=-1), ValidationError,
+             "boundary id -1 outside vocabulary"),
+            (lambda: MergeTable(dau_vocabulary(3), (), boundary=4), ValidationError,
+             "boundary must not be a special token"),
+            (lambda: parse_merge_table(["unitbpe-v1", "7", "<pad>"], letters("a", "b", "c", boundary="_")),
+             ValidationError, "boundary must not be a special token"),
             (lambda: train(read_corpus(["0 1 0 1"], "dau-int"), TrainOptions(8), threads=0), ContractError,
              "threads must be at least 1"),
         ],
-        ids=["min-pair-count-0", "target-above-2^63", "surface-past-end", "surface-negative", "threads-0"],
+        ids=["min-pair-count-0", "target-above-2^63", "surface-past-end", "surface-negative",
+             "boundary-past-base", "boundary-negative", "boundary-special", "boundary-special-in-file",
+             "threads-0"],
     )
     def test_error_type_and_text(self, call, error, message):
         with pytest.raises(UnitBpeError) as err:

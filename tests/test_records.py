@@ -90,3 +90,26 @@ def test_record_semantics(name):
     assert record == same
 
     assert repr(record) == f"{name}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_wrong_arguments_raise_type_error(name):
+    # The records with their own __init__ get the interpreter's wording,
+    # which names the class and the argument too.
+    cls = getattr(unitbpe, name)
+    required, defaults, _ = RECORDS[name]
+    fields = {**required, **defaults}
+    first = next(iter(required))
+    for args, kwargs, text in (
+        ((*fields.values(), 0), {}, "arguments but"),
+        ((required[first],), {**required}, f"multiple values for argument {first!r}"),
+        ((), {f: v for f, v in required.items() if f != first}, f"missing .*argument:? {first!r}"),
+        ((), {**required, "other": 0}, "unexpected keyword argument 'other'"),
+    ):
+        with pytest.raises(TypeError, match=rf"^{name}(\.__init__)?\(\) .*{text}"):
+            cls(*args, **kwargs)
+
+
+def test_defaults_must_name_fields():
+    with pytest.raises(TypeError, match="Bad has defaults for unknown fields"):
+        type("Bad", (Record,), {"_fields": ("a",), "_defaults": {"b": 1}})
