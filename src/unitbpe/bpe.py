@@ -20,7 +20,8 @@ counted in a table local to its pass; only those that reach
 contract is defined by equivalence with the reference implementation that
 rescans the corpus every iteration (see the oracle module).
 
-A merge table's validating walk over its rules also builds the encoder's index.
+A merge table's validating walk over its rules also builds its packed rule
+index; the encoder's trie over token surfaces is built on the first encode.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .corpus import BaseVocabulary, Corpus, Record, read_lines, split_chunks
 from .errors import ContractError, ParseError, ValidationError
@@ -82,7 +83,9 @@ class MergeTable(Record):
     unconstrained. Every rule is checked to keep boundary and special units
     out of merged tokens, so token surfaces never mix the boundary with
     other units. The same walk builds ``packed_rules``:
-    ``((left << shift) | right -> (rank, result), shift)``.
+    ``((left << shift) | right -> result, shift)``. The encoder's
+    index is built on first use, so a table that only decodes never pays
+    for it.
     """
 
     _fields = ("base", "merges", "boundary")
@@ -98,25 +101,23 @@ class MergeTable(Record):
         blocked = self.base.special if self.boundary is None else self.base.special | {self.boundary}
         # Each side is checked to be below vocab_size, so a key is one pair.
         shift = max(1, (self.vocab_size - 1).bit_length())
-        rules: dict[int, tuple[int, int]] = {}
+        rules: dict[int, int] = {}
         for i, m in enumerate(self.merges):
             if m.rank != i:
-                raise ValidationError(f"merge rank {m.rank} at position {i}: ranks must be dense")
+                raise ValidationError(f"merge rank {m.rank} at position {i}: ranks must be dense", rule=i)
             if m.result != base_size + i:
-                raise ValidationError(
-                    f"merge {i}: result {m.result} != base size {base_size} + rank {i}"
-                )
+                raise ValidationError(f"merge {i}: result {m.result} != base size {base_size} + rank {i}", rule=i)
             for side in (m.left, m.right):
                 if not 0 <= side < m.result:
-                    raise ValidationError(f"merge {i}: token id {side} not yet defined")
+                    raise ValidationError(f"merge {i}: token id {side} not yet defined", rule=i)
                 if side in blocked:
                     if self.base.is_special(side):
-                        raise ValidationError(f"merge {i}: special token {side} may not be merged")
-                    raise ValidationError(f"merge {i}: boundary unit {side} may not be merged")
+                        raise ValidationError(f"merge {i}: special token {side} may not be merged", rule=i)
+                    raise ValidationError(f"merge {i}: boundary unit {side} may not be merged", rule=i)
             key = (m.left << shift) | m.right
             if key in rules:
-                raise ValidationError(f"merge {i}: duplicate pair ({m.left}, {m.right})")
-            rules[key] = (m.rank, m.result)
+                raise ValidationError(f"merge {i}: duplicate pair ({m.left}, {m.right})", rule=i)
+            rules[key] = m.result
         object.__setattr__(self, "packed_rules", (rules, shift))
 
     @property
@@ -133,6 +134,51 @@ class MergeTable(Record):
             out[m.result] = out.get(m.left, (m.left,)) + out.get(m.right, (m.right,))
         return out
 
+    @cached_property
+    def _encoder_index(self) -> tuple:
+        # The backtracking encoder's index, over the kept tokens: those whose
+        # surface encodes to themselves. Every base id is kept; a merged
+        # token is kept when both halves are and their seam holds below it.
+        # The trie holds kept surfaces only: it maps node << shift | unit to
+        # a child, which is a kept token or a negative id for a prefix that
+        # is none, and each base id is its own root. shorter maps each kept
+        # merged token to the longest kept proper prefix, with its length.
+        # Nothing here is per base id. The tuple ends with shift and |Z|,
+        # the seam check's limit for two adjacent output tokens.
+        base = self.base.size
+        rules, shift = self.packed_rules
+        left: dict[int, int] = {}
+        right: dict[int, int] = {}
+        fits = _seam_check(left, right, rules, shift, base)
+        length: dict[int, int] = {}  # surface length of each kept merged token
+        for _, a, b, t in self.merges:
+            if (a < base or a in length) and (b < base or b in length) and fits(a, b, t):
+                left[t], right[t] = a, b
+                length[t] = length.get(a, 1) + length.get(b, 1)
+        trie: dict[int, int] = {}
+        shorter: dict[int, tuple[int, int]] = {}
+        expansions = self._expansions
+        fresh = -1
+        # Shortest surface first, so each walk from the left half's node
+        # meets every shorter kept prefix and ends on a new node.
+        for t in sorted(length, key=length.__getitem__):
+            node = a = left[t]
+            depth = length.get(a, 1)
+            best = (a, depth)
+            *middle, last = expansions.get(right[t], (right[t],))
+            for u in middle:
+                key = node << shift | u
+                node = trie.get(key)
+                if node is None:
+                    node = trie[key] = fresh
+                    fresh -= 1
+                depth += 1
+                if node >= 0:
+                    best = (node, depth)
+            trie[node << shift | last] = t
+            shorter[t] = best
+        return trie, shorter, fits, shift, self.vocab_size
+
     def token_surface(self, token_id: int) -> tuple[int, ...]:
         """Constituent base unit ids of a token, in order."""
         if not 0 <= token_id < self.vocab_size:
@@ -144,6 +190,40 @@ class MergeTable(Record):
     def token_label(self, token_id: int) -> str:
         """Human-readable token surface: unit labels joined by ``+``."""
         return "+".join(self.base.surface(u) for u in self.token_surface(token_id))
+
+
+def _seam_check(
+    left: dict[int, int], right: dict[int, int], rules: dict[int, int], shift: int, base: int
+) -> Callable[[int, int, int], bool]:
+    """The seam check over kept tokens split by ``left`` and ``right``.
+
+    ``fits(t1, t2, limit)`` tells whether encoding the two surfaces together
+    reaches the pair ``(t1, t2)`` before any rule across the seam with a
+    result below ``limit`` fires. Each step undoes the merge made last: the
+    larger id, or the right one of two equal ids, because the leftmost
+    occurrence of a rule applies first. For that reason a seam rule equal to
+    a right-hand token still fires before it, and one equal to a left-hand
+    token does not. With ``limit`` the vocabulary size, it holds exactly
+    when the two surfaces encode to ``t1 t2``.
+    """
+    get = rules.get
+
+    def fits(t1: int, t2: int, limit: int) -> bool:
+        while True:
+            if get(t1 << shift | t2, limit) < limit:
+                return False
+            if t1 > t2:
+                if t1 < base:
+                    return True
+                limit = t1
+                t1 = right[t1]
+            else:
+                if t2 < base:
+                    return True
+                limit = t2 + 1
+                t2 = left[t2]
+
+    return fits
 
 
 def pair_counts(
@@ -378,7 +458,13 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
             pass  # the loop below names the row
         else:
             columns = zip(nums[0::4], nums[1::4], nums[2::4], nums[3::4])
-            return MergeTable(vocabulary, tuple(map(Merge._make, columns)), boundary=boundary)
+            try:
+                return MergeTable(vocabulary, tuple(map(Merge._make, columns)), boundary=boundary)
+            except ValidationError as err:
+                if err.rule is None:
+                    raise
+                # Rule i is on line i + 4.
+                raise ValidationError(f"line {err.rule + 4}: {err}", rule=err.rule) from None
     # Some row has other than 4 fields, or a field that int rejects.
     for lineno, (row, cols) in enumerate(zip(rows[3:], fields), start=4):
         if not cols:

@@ -1,17 +1,23 @@
 """Apply merge tables to unit sequences (encode) and invert them (decode).
 
-Encoding applies merges in rank order: at every step the lowest-rank rule
-with an occurrence is applied at its leftmost position. Because no rule
-involves the boundary or a special token, those units pass through
-untouched and merged tokens never span a word boundary. Decoding
-concatenates token surfaces, which makes the round trip lossless by
-construction: one range check per sequence, then base ids stand for
+Encoding gives what applying the merges in rank order gives (at every step
+the lowest-rank rule with an occurrence, at its leftmost position) without
+replaying them. A tokenization is that one exactly when each token encodes
+its own surface and each adjacent pair passes the seam check: the two
+surfaces together encode to that pair. So the encoder takes the longest
+such token at each position, falls back to shorter ones when the seam with
+the previous token fails, and backtracks when none fits (the backtracking
+encoder of GitHub's ``bpe`` crate). Because no rule involves the boundary
+or a special token, those units pass through untouched and merged tokens
+never span a word boundary.
+
+Decoding concatenates token surfaces, which makes the round trip lossless
+by construction: one range check per sequence, then base ids stand for
 themselves and merged ids expand through the table.
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -36,57 +42,52 @@ class TokenSequence(Record):
         return iter(self.tokens)
 
 
-def _encode_ids(ids: Sequence[int], rules: dict[int, tuple[int, int]], shift: int) -> list[int]:
+def _encode_ids(ids: Sequence[int], index: tuple) -> list[int]:
+    # Backtracking search for the one tokenization into kept tokens whose
+    # every adjacent pair passes the seam check: the rank-order encoding.
+    # At each position it tries the longest kept token first, then each
+    # shorter kept prefix. The tokens before a position are always the one
+    # such tokenization of the text before it, so a position where no
+    # candidate is left is dead for good: it is marked, the previous token
+    # is popped and its shorter prefixes are tried.
+    trie, shorter, fits, shift, size = index
     n = len(ids)
-    if n < 2 or not rules:
+    if n < 2 or not trie:
         return list(ids)
-    val = list(ids)
-    nxt = list(range(1, n)) + [-1]
-    prv = [-1] + list(range(n - 1))
-    get = rules.get
-    heap = []
-    for i in range(n - 1):
-        r = get((val[i] << shift) | val[i + 1])
-        if r is not None:
-            heap.append((r[0], i))
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        rank, i = pop(heap)
-        if val[i] == -1:
-            continue
-        j = nxt[i]
-        if j == -1:
-            continue
-        r = get((val[i] << shift) | val[j])
-        if r is None:
-            continue
-        if r[0] != rank:
-            # The pair at i changed since this entry was queued; requeue at
-            # its current rank so ordering stays exact.
-            push(heap, (r[0], i))
-            continue
-        z = r[1]
-        val[i] = z
-        val[j] = -1
-        q = nxt[j]
-        nxt[i] = q
-        if q != -1:
-            prv[q] = i
-            rr = get((z << shift) | val[q])
-            if rr is not None:
-                push(heap, (rr[0], i))
-        p = prv[i]
-        if p != -1:
-            rl = get((val[p] << shift) | z)
-            if rl is not None:
-                push(heap, (rl[0], p))
-    out = []
-    i = 0
-    while i != -1:
-        out.append(val[i])
-        i = nxt[i]
-    return out
+    get = trie.get
+    tokens: list[int] = []
+    starts: list[int] = []
+    dead = bytearray(n + 1)
+    pos = 0
+    prev = -1  # the last token, or -1 before the first
+    while pos < n:
+        t = node = ids[pos]
+        end = i = pos + 1
+        while i < n:
+            node = get(node << shift | ids[i])
+            if node is None:
+                break
+            i += 1
+            if node >= 0:
+                t, end = node, i
+        while True:
+            if not dead[end] and (prev < 0 or fits(prev, t, size)):
+                tokens.append(t)
+                starts.append(pos)
+                prev = t
+                pos = end
+                break
+            prefix = shorter.get(t)
+            if prefix is not None:
+                t, k = prefix
+                end = pos + k
+            else:
+                dead[pos] = 1
+                end = pos
+                t = tokens.pop()
+                pos = starts.pop()
+                prev = tokens[-1] if tokens else -1
+    return tokens
 
 
 def encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:
@@ -96,8 +97,7 @@ def encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:
     if units and (min(units) < 0 or max(units) >= base_size):
         bad = next(u for u in units if not 0 <= u < base_size)
         raise ValidationError(f"unit id {bad} outside base vocabulary of size {base_size}")
-    rules, shift = table.packed_rules
-    return TokenSequence(tuple(_encode_ids(units, rules, shift)))
+    return TokenSequence(tuple(_encode_ids(units, table._encoder_index)))
 
 
 def decode(tokens: TokenSequence, table: MergeTable) -> UnitSequence:
@@ -141,10 +141,10 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
         raise ValidationError("corpus vocabulary does not match the merge table's base vocabulary")
     if threads < 1:
         raise ContractError("threads must be at least 1")
-    rules, shift = table.packed_rules
+    index = table._encoder_index
     boundary = table.boundary
     if boundary is None:
-        encoded = [tuple(_encode_ids(s.units, rules, shift)) for s in corpus.sequences]
+        encoded = [tuple(_encode_ids(s.units, index)) for s in corpus.sequences]
     else:
         memo: dict[tuple[int, ...], list[int]] = {}
         separator = {boundary}
@@ -154,7 +154,7 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
             for chunk in split_chunks(s.units, separator):
                 tokens = memo.get(chunk)
                 if tokens is None:
-                    tokens = memo[chunk] = _encode_ids(chunk, rules, shift)
+                    tokens = memo[chunk] = _encode_ids(chunk, index)
                 out += tokens
                 out.append(boundary)
             out.pop()

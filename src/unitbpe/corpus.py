@@ -88,6 +88,11 @@ class Record:
     def _check(self) -> None:
         """Validate the fields once they are set; a record overrides it."""
 
+    def __reduce__(self):
+        # pickle and copy rebuild a record through its constructor, which
+        # checks it again; cached indexes are left to be rebuilt on use.
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
     def _asdict(self) -> dict:
         """The fields by name, in order."""
         return {name: getattr(self, name) for name in self._fields}

@@ -16,7 +16,12 @@ class ParseError(UnitBpeError):
 
 
 class ValidationError(UnitBpeError):
-    """Data violates a vocabulary or merge-table invariant."""
+    """Data violates a vocabulary or merge-table invariant; ``rule`` is the
+    index of the merge rule at fault, if one is."""
+
+    def __init__(self, message: str, rule: int | None = None):
+        self.rule = rule
+        super().__init__(message)
 
 
 class ContractError(UnitBpeError):

@@ -190,7 +190,7 @@ class TestMergeTableInvariants:
         n = vocab.size
         table = MergeTable(vocab, (Merge(0, 0, 1, n), Merge(1, n, 2, n + 1)))
         rules, shift = vars(table)["packed_rules"]  # set by the constructor, not on first use
-        assert rules == {(0 << shift) | 1: (0, n), (n << shift) | 2: (1, n + 1)}
+        assert rules == {(0 << shift) | 1: n, (n << shift) | 2: n + 1}
         assert shift == (n + 1).bit_length()
 
     def test_rules_must_be_merges(self):
@@ -298,13 +298,13 @@ class TestMergeFileErrors:
             ("1 7 2", ParseError, "line 5: expected 4 fields, got 3", 5),
             ("1 7 2 8 9", ParseError, "line 5: expected 4 fields, got 5", 5),
             ("1 7 x 8", ParseError, "line 5: non-integer field in merge row '1 7 x 8'", 5),
-            ("2 7 2 8", ValidationError, "merge rank 2 at position 1: ranks must be dense", None),
-            ("1 7 2 9", ValidationError, "merge 1: result 9 != base size 7 + rank 1", None),
-            ("1 8 2 8", ValidationError, "merge 1: token id 8 not yet defined", None),
-            ("1 -1 2 8", ValidationError, "merge 1: token id -1 not yet defined", None),
-            ("1 5 2 8", ValidationError, "merge 1: special token 5 may not be merged", None),
-            ("1 7 3 8", ValidationError, "merge 1: boundary unit 3 may not be merged", None),
-            ("1 0 1 8", ValidationError, "merge 1: duplicate pair (0, 1)", None),
+            ("2 7 2 8", ValidationError, "line 5: merge rank 2 at position 1: ranks must be dense", None),
+            ("1 7 2 9", ValidationError, "line 5: merge 1: result 9 != base size 7 + rank 1", None),
+            ("1 8 2 8", ValidationError, "line 5: merge 1: token id 8 not yet defined", None),
+            ("1 -1 2 8", ValidationError, "line 5: merge 1: token id -1 not yet defined", None),
+            ("1 5 2 8", ValidationError, "line 5: merge 1: special token 5 may not be merged", None),
+            ("1 7 3 8", ValidationError, "line 5: merge 1: boundary unit 3 may not be merged", None),
+            ("1 0 1 8", ValidationError, "line 5: merge 1: duplicate pair (0, 1)", None),
         ],
         ids=["blank", "3-fields", "5-fields", "non-integer", "rank-not-dense", "result-not-base-plus-rank",
              "undefined-side", "negative-side", "special-side", "boundary-side", "duplicate-pair"],

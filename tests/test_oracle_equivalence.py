@@ -187,15 +187,15 @@ class TestDuplicateChunks:
 
 
 @st.composite
-def untrained_tables(draw):
+def untrained_tables(draw, max_content=5, max_merges=16):
     """Any valid MergeTable: dense ranks, both sides defined before the
     result, no special or boundary unit merged, no pair twice. Most of these
     are tables no training run would produce."""
-    content = draw(st.integers(1, 5))
+    content = draw(st.integers(1, max_content))
     vocab = symbolic_vocabulary([f"u{i}" for i in range(content)], boundary_label=None)
     base = len(vocab)
     merges: list[Merge] = []
-    for _ in range(draw(st.integers(0, 16))):
+    for _ in range(draw(st.integers(0, max_merges))):
         usable = st.sampled_from(list(range(content)) + list(range(base, base + len(merges))))
         pair = (draw(usable), draw(usable))
         if pair not in {(m.left, m.right) for m in merges}:
@@ -235,3 +235,46 @@ class TestUntrainedTables:
         buf = io.StringIO()
         save_merge_table(table, buf)
         assert parse_merge_table(buf.getvalue().splitlines(), table.base) == table
+
+
+class TestBacktrackingEncoder:
+    """The encoder takes the longest token whose seam with the previous one
+    holds, and backtracks when none does. Only tokens whose surface encodes
+    to themselves are candidates; over small alphabets many are not."""
+
+    def test_token_that_does_not_encode_to_itself(self):
+        vocab = symbolic_vocabulary(["a", "b", "c"], boundary_label=None)
+        a, b, c = (vocab.id_of(x) for x in "abc")
+        z, x, y, w = range(vocab.size, vocab.size + 4)
+        rules = [(b, c), (a, b), (x, c), (a, z)]  # Z, X, Y, W in rank order
+        table = MergeTable(vocab, tuple(Merge(i, *pair, vocab.size + i) for i, pair in enumerate(rules)))
+        # Y and W both spell a b c, and a b c encodes to W.
+        assert table.token_surface(y) == table.token_surface(w) == (a, b, c)
+        for units, tokens in (((a, b, c), (w,)), ((a, b, a, b, c), (x, w))):
+            seq = UnitSequence(units)
+            assert naive_encode(seq, table).tokens == tokens
+            assert encode(seq, table).tokens == tokens
+        without_w = MergeTable(vocab, table.merges[:3])
+        seq = UnitSequence((a, b, c))
+        assert naive_encode(seq, without_w).tokens == encode(seq, without_w).tokens == (a, z)
+
+    @settings(max_examples=400, deadline=None)
+    @given(untrained_tables(max_content=3, max_merges=24), st.data())
+    def test_matches_reference_over_small_alphabets(self, table, data):
+        tokens = st.lists(st.integers(0, table.vocab_size - 1), max_size=10)
+        surfaces = tokens.map(lambda ts: tuple(u for t in ts for u in table.token_surface(t)))
+        units = st.lists(st.integers(0, table.base.size - 1), max_size=24).map(tuple)
+        drawn = data.draw(st.lists(st.one_of(surfaces, units), min_size=1, max_size=8))
+        corpus = Corpus(table.base, tuple(map(UnitSequence, drawn)))
+        expected = [naive_encode(seq, table) for seq in corpus.sequences]
+        assert [encode(seq, table) for seq in corpus.sequences] == expected
+        assert list(encode_corpus(corpus, table).sequences) == expected
+
+    def test_decode_builds_no_encoder_index(self):
+        corpus = read_corpus(["0 1 0 1 2", "1 2 1 2"], "dau-int")
+        table = train(corpus, TrainOptions(corpus.vocabulary.size + 3))
+        back = decode(TokenSequence((table.vocab_size - 1, 0)), table)
+        assert back.units == (*table.token_surface(table.vocab_size - 1), 0)
+        assert "_encoder_index" not in vars(table)
+        encode(corpus.sequences[0], table)
+        assert "_encoder_index" in vars(table)

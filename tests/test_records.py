@@ -1,10 +1,13 @@
 """The public records: immutable plain classes that compare, hash and print
 by their fields, constructed by position or keyword with fixed defaults."""
 
+import copy
+import pickle
+
 import pytest
 
 import unitbpe
-from unitbpe import Merge, TokenSequence, UnitSequence, dau_vocabulary
+from unitbpe import Merge, TokenSequence, UnitSequence, dau_vocabulary, encode
 from unitbpe.corpus import Record
 
 VOCAB = dau_vocabulary(2)  # units 0 and 1, specials 2-4
@@ -113,3 +116,21 @@ def test_wrong_arguments_raise_type_error(name):
 def test_defaults_must_name_fields():
     with pytest.raises(TypeError, match="Bad has defaults for unknown fields"):
         type("Bad", (Record,), {"_fields": ("a",), "_defaults": {"b": 1}})
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_pickle_and_copy_round_trip(name):
+    cls = getattr(unitbpe, name)
+    required, _, changed = RECORDS[name]
+    for record in (cls(**required), cls(**{**required, **changed})):
+        for back in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(back) is cls
+            assert back == record
+
+
+def test_pickled_table_rebuilds_its_cached_indexes():
+    table = unitbpe.MergeTable(VOCAB, (Merge(0, 0, 1, 5),))
+    tokens = encode(UnitSequence((0, 1, 0)), table)
+    back = pickle.loads(pickle.dumps(table))
+    assert "_encoder_index" not in vars(back) and "_expansions" not in vars(back)
+    assert encode(UnitSequence((0, 1, 0)), back) == tokens

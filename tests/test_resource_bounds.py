@@ -20,6 +20,7 @@ import unitbpe
 LIMIT = 256 << 20  # bytes of address space for each child
 TIMEOUT = 5  # seconds for each child
 BIG = 2_000_000
+HUGE = 1 << 40  # a base size that no structure with one entry per id fits under LIMIT
 
 # Runs each argv in the list given as JSON, in-process, and prints their
 # exit codes as JSON; an uncaught exception shows as a traceback.
@@ -45,6 +46,7 @@ def files(tmp_path):
     (tmp_path / "big.txt").write_text(f"1 {BIG}\n", encoding="utf-8")
     (tmp_path / "small.txt").write_text("1 2\n", encoding="utf-8")
     (tmp_path / "big.bpe").write_text(f"unitbpe-v1\n{BIG}\n\n", encoding="utf-8")
+    (tmp_path / "merged.bpe").write_text(f"unitbpe-v1\n{HUGE}\n\n0 1 2 {HUGE}\n", encoding="utf-8")
     return tmp_path
 
 
@@ -54,12 +56,14 @@ def files(tmp_path):
         ("stats --input big.txt", "sequence_count 1\ntotal_units 2\n"),
         (f"train --input big.txt --target-size {BIG + 10}", f"unitbpe-v1\n{BIG + 4}\n\n"),
         ("encode --input small.txt --merges big.bpe", "1 2\n"),
+        # The encoder's index holds the merged tokens only, none of the base.
+        ("encode --input small.txt --merges merged.bpe", f"{HUGE}\n"),
         ("decode --input small.txt --merges big.bpe", "1 2\n"),
         ("decode --input small.txt --merges big.bpe --format symbolic", "1 2\n"),
         ("encode --input small.txt --merges big.bpe --format symbolic", "1 2\n"),
         ("analyze --input small.txt --merges big.bpe --json", "{\n"),
     ],
-    ids=["stats", "train", "encode", "decode", "decode-symbolic", "encode-symbolic", "analyze"],
+    ids=["stats", "train", "encode", "encode-merged", "decode", "decode-symbolic", "encode-symbolic", "analyze"],
 )
 def test_large_id_costs_what_a_small_one_does(files, argv, out):
     proc = run_limited(files, "-m", "unitbpe", *argv.split())
