@@ -21,7 +21,8 @@ contract is defined by equivalence with the reference implementation that
 rescans the corpus every iteration (see the oracle module).
 
 A merge table's validating walk over its rules also builds its packed rule
-index; the encoder's trie over token surfaces is built on the first encode.
+index; the encoder's trie over token surfaces is built on the first encode,
+and a token's surface the first time that token is looked up.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import chain
+from operator import index
 from pathlib import Path
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
@@ -85,7 +87,7 @@ class MergeTable(Record):
     other units. The same walk builds ``packed_rules``:
     ``((left << shift) | right -> result, shift)``. The encoder's
     index is built on first use, so a table that only decodes never pays
-    for it.
+    for it, and decoding stores the surfaces of the ids it looks up only.
     """
 
     _fields = ("base", "merges", "boundary")
@@ -126,13 +128,9 @@ class MergeTable(Record):
         return self.base.size + len(self.merges)
 
     @cached_property
-    def _expansions(self) -> dict[int, tuple[int, ...]]:
-        # Merged token id -> its surface as base unit ids. Base ids are not
-        # keys: their surface is themselves, and the base may be large.
-        out: dict[int, tuple[int, ...]] = {}
-        for m in self.merges:
-            out[m.result] = out.get(m.left, (m.left,)) + out.get(m.right, (m.right,))
-        return out
+    def _expansions(self) -> _Surfaces:
+        # Token id -> its surface as base unit ids, filled on first lookup.
+        return _Surfaces(self.merges, self.base.size, self.vocab_size)
 
     @cached_property
     def _encoder_index(self) -> tuple:
@@ -150,22 +148,21 @@ class MergeTable(Record):
         left: dict[int, int] = {}
         right: dict[int, int] = {}
         fits = _seam_check(left, right, rules, shift, base)
-        length: dict[int, int] = {}  # surface length of each kept merged token
+        surface: dict[int, tuple[int, ...]] = {}  # of each kept merged token
         for _, a, b, t in self.merges:
-            if (a < base or a in length) and (b < base or b in length) and fits(a, b, t):
+            if (a < base or a in surface) and (b < base or b in surface) and fits(a, b, t):
                 left[t], right[t] = a, b
-                length[t] = length.get(a, 1) + length.get(b, 1)
+                surface[t] = surface.get(a, (a,)) + surface.get(b, (b,))
         trie: dict[int, int] = {}
         shorter: dict[int, tuple[int, int]] = {}
-        expansions = self._expansions
         fresh = -1
         # Shortest surface first, so each walk from the left half's node
         # meets every shorter kept prefix and ends on a new node.
-        for t in sorted(length, key=length.__getitem__):
+        for t in sorted(surface, key=lambda t: len(surface[t])):
             node = a = left[t]
-            depth = length.get(a, 1)
+            depth = len(surface.get(a, (a,)))
             best = (a, depth)
-            *middle, last = expansions.get(right[t], (right[t],))
+            *middle, last = surface.get(right[t], (right[t],))
             for u in middle:
                 key = node << shift | u
                 node = trie.get(key)
@@ -181,15 +178,47 @@ class MergeTable(Record):
 
     def token_surface(self, token_id: int) -> tuple[int, ...]:
         """Constituent base unit ids of a token, in order."""
-        if not 0 <= token_id < self.vocab_size:
-            raise ValidationError(
-                f"token id {token_id} outside vocabulary of size {self.vocab_size}"
-            )
-        return self._expansions.get(token_id, (token_id,))
+        return self._expansions[token_id]
 
     def token_label(self, token_id: int) -> str:
         """Human-readable token surface: unit labels joined by ``+``."""
         return "+".join(self.base.surface(u) for u in self.token_surface(token_id))
+
+
+class _Surfaces(dict):
+    """Token id -> its surface as base unit ids, filled on first lookup.
+
+    A miss range-checks the id, then walks the rules depth first from it,
+    taking whole any surface already stored. Only the looked-up id is
+    stored, so the map holds the surfaces asked for: never every merged
+    token's, and nothing per base id.
+    """
+
+    __slots__ = ("merges", "base", "size")
+
+    def __init__(self, merges: Sequence[Merge], base: int, size: int):
+        super().__init__()
+        self.merges, self.base, self.size = merges, base, size
+
+    def __missing__(self, token_id: int) -> tuple[int, ...]:
+        token_id = index(token_id)  # an int is stored, never an equal float or bool
+        if not 0 <= token_id < self.size:
+            raise ValidationError(f"token id {token_id} outside vocabulary of size {self.size}")
+        base, merges, get = self.base, self.merges, self.get
+        units: list[int] = []
+        stack = [token_id]
+        while stack:
+            t = stack.pop()
+            known = get(t)
+            if known is not None:
+                units += known
+            elif t < base:
+                units.append(t)
+            else:
+                m = merges[t - base]
+                stack += (m.right, m.left)
+        surface = self[token_id] = tuple(units)
+        return surface
 
 
 def _seam_check(

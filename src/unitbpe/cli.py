@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import IO
+from typing import IO, Callable
 
 from . import bpe, codec
 from .corpus import (
@@ -37,9 +37,9 @@ from .corpus import (
     read_corpus,
     read_lines,
     save_vocabulary,
-    sequence_lines,
+    unit_label,
 )
-from .errors import ContractError, UnitBpeError, ValidationError
+from .errors import ContractError, ParseError, UnitBpeError, ValidationError
 
 
 def _read_lines(path: str) -> list[str]:
@@ -237,24 +237,64 @@ def _cmd_encode(args) -> int:
     return 0
 
 
+class _TokenText(dict):
+    """A token's text -> its units rendered in the output format, filled the
+    first time the text is looked up. A text that is not the id of a content
+    unit or merged token raises KeyError and is not stored."""
+
+    __slots__ = ("surface", "size", "special", "label")
+
+    def __init__(self, table: bpe.MergeTable, label: Callable[[int], str]):
+        super().__init__()
+        self.surface = table._expansions.__getitem__  # token_surface without its call
+        self.size, self.special, self.label = table.vocab_size, table.base.special, label
+
+    def __missing__(self, text: str) -> str:
+        try:
+            token_id = int(text)
+        except ValueError:
+            raise KeyError(text) from None
+        if not 0 <= token_id < self.size or token_id in self.special:
+            raise KeyError(text)
+        rendered = self[text] = " ".join(map(self.label, self.surface(token_id)))
+        return rendered
+
+
+def _token_line_fault(line: str, lineno: int, table: bpe.MergeTable) -> UnitBpeError:
+    """The first fault of a token line that has one, found in the order of
+    a whole-line check: a non-integer token, then an id outside the merged
+    vocabulary, then a special id."""
+    try:
+        ids = parse_id_line(line, lineno)
+    except ParseError as exc:
+        return exc
+    size = table.vocab_size
+    bad = next((t for t in ids if not 0 <= t < size), None)
+    if bad is not None:
+        return ValidationError(f"line {lineno}: token id {bad} outside vocabulary of size {size}")
+    bad = next(t for t in ids if table.base.is_special(t))
+    return ValidationError(f"line {lineno}: token id {bad} is a reserved special token")
+
+
 def _cmd_decode(args) -> int:
     """Decode token lines. Unlike library decode, a special id is an error:
-    the output must be a corpus file, and those never hold specials. Each
-    line is parsed, decoded and checked in turn; no Corpus is built."""
+    the output must be a corpus file, and those never hold specials.
+
+    A line costs one lookup per token in a map from a token's text (``5``
+    and ``05`` apart) to its rendered units, which fills itself the first
+    time it meets a text. Only a line with a text that is no valid id is
+    walked again, to name its first fault; nothing is written unless every
+    line decodes. No Corpus is built."""
     table = _load_table(args)
-    special = table.base.special
-    sequences = []
+    render = _TokenText(table, unit_label(table.base, args.format)).__getitem__
+    lines = []
     for lineno, line in enumerate(_read_lines(args.input), start=1):
-        ids = parse_id_line(line, lineno)
         try:
-            sequences.append(codec.decode(codec.TokenSequence(ids), table))
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        if not special.isdisjoint(ids):
-            bad = next(t for t in ids if t in special)
-            raise ValidationError(f"line {lineno}: token id {bad} is a reserved special token")
+            lines.append(" ".join(map(render, line.split())))
+        except KeyError:
+            raise _token_line_fault(line, lineno, table) from None
     with _out_stream(args.out) as out:
-        _write_lines(out, sequence_lines(sequences, table.base, args.format))
+        _write_lines(out, lines)
     return 0
 
 

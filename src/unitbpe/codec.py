@@ -12,8 +12,8 @@ or a special token, those units pass through untouched and merged tokens
 never span a word boundary.
 
 Decoding concatenates token surfaces, which makes the round trip lossless
-by construction: one range check per sequence, then base ids stand for
-themselves and merged ids expand through the table.
+by construction: each id is one lookup in the table's surface map, which
+range-checks an id and builds its surface the first time it is seen.
 """
 
 from __future__ import annotations
@@ -103,13 +103,7 @@ def encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:
 def decode(tokens: TokenSequence, table: MergeTable) -> UnitSequence:
     """Invert encode by concatenating token surfaces. Any id of the merged
     vocabulary decodes, specials included."""
-    ids = tokens.tokens
-    size = table.vocab_size
-    if ids and (min(ids) < 0 or max(ids) >= size):
-        bad = next(t for t in ids if not 0 <= t < size)
-        raise ValidationError(f"token id {bad} outside vocabulary of size {size}")
-    # zip(ids) yields each id as a 1-tuple: the surface of a base id.
-    return UnitSequence(tuple(chain.from_iterable(map(table._expansions.get, ids, zip(ids)))))
+    return UnitSequence(tuple(chain.from_iterable(map(table._expansions.__getitem__, tokens.tokens))))
 
 
 class EncodedCorpus(Record):

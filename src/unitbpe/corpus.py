@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import chain, count
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, AbstractSet, Iterable, Iterator
+from typing import IO, AbstractSet, Callable, Iterable, Iterator
 
 from .errors import ContractError, ParseError, ValidationError
 
@@ -425,20 +425,24 @@ def corpus_lines(corpus: Corpus, format: str) -> Iterator[str]:
     return sequence_lines(corpus.sequences, corpus.vocabulary, format)
 
 
+def unit_label(vocabulary: BaseVocabulary, format: str) -> Callable[[int], str]:
+    """The function that renders one unit id of ``vocabulary`` in ``format``."""
+    if format not in FORMATS:
+        raise ContractError(f"unknown corpus format {format!r}")
+    if format == FORMAT_DAU:
+        return str
+    if vocabulary.labels is None:
+        return vocabulary.surface
+    return (vocabulary.labels + SPECIAL_LABELS).__getitem__
+
+
 def sequence_lines(
     sequences: Iterable[UnitSequence], vocabulary: BaseVocabulary, format: str
 ) -> Iterator[str]:
     """Render unit sequences as corpus file lines (without newlines). Ids
     are not checked here: the caller has checked them against the
     vocabulary, as Corpus does."""
-    if format not in FORMATS:
-        raise ContractError(f"unknown corpus format {format!r}")
-    if format == FORMAT_DAU:
-        label = str
-    elif vocabulary.labels is None:
-        label = vocabulary.surface
-    else:
-        label = (vocabulary.labels + SPECIAL_LABELS).__getitem__
+    label = unit_label(vocabulary, format)
     for seq in sequences:
         yield " ".join(map(label, seq.units))
 

@@ -1,12 +1,14 @@
-"""Shared builders for randomized corpora, plus the acceptance summary hook."""
+"""Shared builders for randomized corpora and merge tables, plus the
+acceptance summary hook."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from unitbpe import BaseVocabulary, Corpus, UnitSequence, symbolic_vocabulary
+from unitbpe import BaseVocabulary, Corpus, Merge, MergeTable, UnitSequence, symbolic_vocabulary
 
 _acceptance_lines: list[str] = []
 
@@ -48,3 +50,25 @@ def random_corpus(
 def random_sequence(rng: random.Random, vocab: BaseVocabulary, max_length: int = 30) -> UnitSequence:
     content = vocab.content_ids()
     return UnitSequence(tuple(rng.choice(content) for _ in range(rng.randint(0, max_length))))
+
+
+@st.composite
+def untrained_tables(draw, max_content=5, max_merges=16, vocabularies=None):
+    """Any valid MergeTable: dense ranks, both sides defined before the
+    result, no special or boundary unit merged, no pair twice. Most of these
+    are tables no training run would produce. ``vocabularies`` maps the
+    number of content units to a strategy for the base; by default it is
+    labelled u0, u1, ... and has no boundary."""
+    content = draw(st.integers(1, max_content))
+    if vocabularies is None:
+        vocab = symbolic_vocabulary([f"u{i}" for i in range(content)], boundary_label=None)
+    else:
+        vocab = draw(vocabularies(content))
+    base = len(vocab)
+    merges: list[Merge] = []
+    for _ in range(draw(st.integers(0, max_merges))):
+        usable = st.sampled_from(list(range(content)) + list(range(base, base + len(merges))))
+        pair = (draw(usable), draw(usable))
+        if pair not in {(m.left, m.right) for m in merges}:
+            merges.append(Merge(len(merges), pair[0], pair[1], base + len(merges)))
+    return MergeTable(vocab, tuple(merges), boundary=vocab.boundary)

@@ -1,5 +1,6 @@
 """Command-line behavior: workflows, piping, exit codes, output formats."""
 
+import contextlib
 import io
 import json
 import os
@@ -9,9 +10,24 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unitbpe
+from unitbpe import (
+    MergeTable,
+    TokenSequence,
+    UnitBpeError,
+    ValidationError,
+    dau_vocabulary,
+    decode,
+    save_merge_table,
+    save_vocabulary,
+    symbolic_vocabulary,
+)
 from unitbpe.cli import build_parser, main
+from unitbpe.corpus import FORMATS, parse_id_line, sequence_lines
+from tests.conftest import untrained_tables
 
 LAZY_MODULES = {"unitbpe.metrics", "unitbpe.oracle", "unitbpe.synth"}
 # Modules the package's records do without; loading them costs a child
@@ -213,6 +229,85 @@ class TestEncodeDecode:
         slow = run(capsys, "encode", "--input", str(dau_corpus), "--merges", str(trained), "--oracle")
         assert fast[0] == slow[0] == 0
         assert fast[1] == slow[1]
+
+
+def cli_vocabularies(content: int):
+    """Bases the CLI reads in two ways: a DAU vocabulary, which it infers
+    from the merge file, and labels, with or without a boundary, which it
+    reads from a sidecar."""
+    labelled = st.sampled_from([None, "_"]).map(
+        lambda boundary: symbolic_vocabulary([f"u{i}" for i in range(content)], boundary_label=boundary)
+    )
+    return st.one_of(st.just(dau_vocabulary(content)), labelled)
+
+
+def id_texts(table: MergeTable):
+    """Token texts, mostly of ids that decode: ids in and around the merged
+    vocabulary spelt as int reads them (``05``, ``+5``, ``1_0``), and texts
+    that are no id."""
+    decodable = [t for t in range(table.vocab_size) if not table.base.is_special(t)]
+    ids = st.one_of(*[st.sampled_from(decodable)] * 4, st.integers(-2, table.vocab_size + 2)).map(str)
+    spelt = ids.flatmap(
+        lambda s: st.sampled_from([s, s, "0" + s, "+" + s, s[0] + "_" + s[1:] if len(s) > 1 else s])
+    )
+    return st.one_of(*[spelt] * 8, st.sampled_from(["x", "1.5", "\u0663", "_"]))
+
+
+def reference_decode(lines: list[str], table: MergeTable, fmt: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``decode``, one line after another:
+    parse the ids, decode them with the library, reject specials, and
+    render the sequences once every line has decoded."""
+    sequences = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            ids = parse_id_line(line, lineno)
+            try:
+                sequences.append(decode(TokenSequence(ids), table))
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
+            bad = [t for t in ids if t in table.base.special]
+            if bad:
+                raise ValidationError(f"line {lineno}: token id {bad[0]} is a reserved special token")
+        except UnitBpeError as exc:
+            return 1, "", f"unitbpe: error: {exc}\n"
+    return 0, "".join(line + "\n" for line in sequence_lines(sequences, table.base, fmt)), ""
+
+
+class TestDecodeMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(untrained_tables(max_content=4, vocabularies=cli_vocabularies), st.sampled_from(FORMATS), st.data())
+    def test_cli_decode_matches_per_line_reference(self, tmp_path_factory, table, fmt, data):
+        line = st.lists(id_texts(table), max_size=6).flatmap(
+            lambda texts: st.sampled_from([" ", "\t", "  "]).map(lambda sep: sep.join(texts))
+        )
+        lines = data.draw(st.lists(line, max_size=6))
+        tmp = tmp_path_factory.mktemp("decode")
+        save_merge_table(table, tmp / "m.bpe")
+        (tmp / "t.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        argv = ["decode", "--input", str(tmp / "t.txt"), "--merges", str(tmp / "m.bpe"), "--format", fmt]
+        if table.base.labels is not None:
+            save_vocabulary(table.base, tmp / "m.vocab")
+            argv += ["--vocab", str(tmp / "m.vocab")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == reference_decode(lines, table, fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(untrained_tables(vocabularies=cli_vocabularies), st.data())
+    def test_token_surface_expands_the_rules(self, table, data):
+        base = table.base.size
+
+        def expand(t):
+            if t < base:
+                return (t,)
+            m = table.merges[t - base]
+            return expand(m.left) + expand(m.right)
+
+        # Lookups in any order, repeats included, each against a fresh expansion.
+        order = data.draw(st.lists(st.integers(0, table.vocab_size - 1), max_size=20))
+        assert [table.token_surface(t) for t in order] == [expand(t) for t in order]
+        assert set(table._expansions) == set(order)
 
 
 class TestReports:
@@ -450,10 +545,29 @@ class TestExitCodes:
         assert out == ""
 
     def test_decode_names_the_first_bad_line(self, capsys, monkeypatch, trained):
-        # Every line is parsed, decoded and checked before the next is read.
+        # Lines are checked in order, and nothing is written before the last.
         monkeypatch.setattr("sys.stdin", stdin_of("99\n0 1\nx\n"))
         code, out, err = run(capsys, "decode", "--input", "-", "--merges", str(trained))
         assert (code, out, err) == (1, "", "unitbpe: error: line 1: token id 99 outside vocabulary of size 8\n")
+
+    @pytest.mark.parametrize(
+        "tokens, fault",
+        [
+            ("4 99", "token id 99 outside vocabulary of size 8"),
+            ("99 x", "non-integer token 'x'"),
+            ("4 -1 x", "non-integer token 'x'"),
+            ("1 +4 99", "token id 99 outside vocabulary of size 8"),
+            ("01 4 3", "token id 4 is a reserved special token"),
+        ],
+        ids=["special-then-range", "range-then-parse", "special-range-parse", "plus-sign", "leading-zero"],
+    )
+    def test_decode_names_a_lines_faults_in_check_order(self, capsys, monkeypatch, trained, tokens, fault):
+        # The specials of the 8-token table are 3-5. A line is parsed, then
+        # range-checked, then checked for specials, whatever its token order;
+        # the valid first line has filled the token texts "0" and "1" first.
+        monkeypatch.setattr("sys.stdin", stdin_of(f"0 1\n{tokens}\n"))
+        code, out, err = run(capsys, "decode", "--input", "-", "--merges", str(trained))
+        assert (code, out, err) == (1, "", f"unitbpe: error: line 2: {fault}\n")
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_crlf_and_cr_files_read_as_lf(self, capsys, monkeypatch, end):

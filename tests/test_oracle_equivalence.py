@@ -31,7 +31,7 @@ from unitbpe import (
     train,
 )
 from unitbpe.codec import token_lines
-from tests.conftest import random_corpus, random_sequence
+from tests.conftest import random_corpus, random_sequence, untrained_tables
 
 
 class TestReferenceBehavior:
@@ -184,23 +184,6 @@ class TestDuplicateChunks:
             (base, bnd, base + 1, bnd, base),
         ]
         assert train(corpus, TrainOptions(target_size=base + 2, min_pair_count=3)).merges == table.merges[:1]
-
-
-@st.composite
-def untrained_tables(draw, max_content=5, max_merges=16):
-    """Any valid MergeTable: dense ranks, both sides defined before the
-    result, no special or boundary unit merged, no pair twice. Most of these
-    are tables no training run would produce."""
-    content = draw(st.integers(1, max_content))
-    vocab = symbolic_vocabulary([f"u{i}" for i in range(content)], boundary_label=None)
-    base = len(vocab)
-    merges: list[Merge] = []
-    for _ in range(draw(st.integers(0, max_merges))):
-        usable = st.sampled_from(list(range(content)) + list(range(base, base + len(merges))))
-        pair = (draw(usable), draw(usable))
-        if pair not in {(m.left, m.right) for m in merges}:
-            merges.append(Merge(len(merges), pair[0], pair[1], base + len(merges)))
-    return MergeTable(vocab, tuple(merges))
 
 
 class TestUntrainedTables:

@@ -72,6 +72,28 @@ def test_large_id_costs_what_a_small_one_does(files, argv, out):
     assert "Traceback" not in proc.stderr
 
 
+# Forty doubling rules over one content unit: token 4 + k spells 2^(k + 1)
+# copies of unit 0, so all surfaces together hold 2^41 units.
+DOUBLING = "unitbpe-v1\n4\n\n0 0 0 4\n" + "".join(f"{r} {r + 3} {r + 3} {r + 4}\n" for r in range(1, 40))
+
+
+@pytest.mark.parametrize(
+    "tokens, out",
+    [
+        ("0\n", "0\n"),
+        ("13\n", " ".join(["0"] * 2**10) + "\n"),
+        ("0 13 0\n8\n", " ".join(["0"] * (2**10 + 2)) + "\n" + " ".join(["0"] * 2**5) + "\n"),
+    ],
+    ids=["base-id", "2^10-unit-token", "lines"],
+)
+def test_decode_stores_only_the_surfaces_it_reads(tmp_path, tokens, out):
+    (tmp_path / "doubling.bpe").write_text(DOUBLING, encoding="utf-8")
+    (tmp_path / "t.txt").write_text(tokens, encoding="utf-8")
+    proc = run_limited(tmp_path, "-m", "unitbpe", "decode", "--input", "t.txt", "--merges", "doubling.bpe")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == out
+
+
 @pytest.mark.parametrize("n", [2**63 - 4, 2**63, 2**64], ids=["2^63-4", "2^63", "2^64"])
 def test_ids_and_sizes_past_int64_exit_cleanly(tmp_path, n):
     # c.txt holds id n, m.bpe records base size n, and t.txt token id n.
