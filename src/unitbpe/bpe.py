@@ -34,9 +34,9 @@ from functools import cached_property
 from itertools import chain
 from operator import index
 from pathlib import Path
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Collection, Iterable, NamedTuple, Sequence
 
-from .corpus import BaseVocabulary, Corpus, Record, read_lines, split_chunks
+from .corpus import BaseVocabulary, Corpus, Record, read_lines, split_chunks, write_lines
 from .errors import ContractError, ParseError, ValidationError
 
 MERGE_FILE_MAGIC = "unitbpe-v1"
@@ -62,7 +62,8 @@ class TrainOptions(Record):
 
     target_size is the desired |Z| (base units plus merges). When
     respect_boundaries is set and the vocabulary defines a boundary unit,
-    no merge may span it. Pairs occurring fewer than min_pair_count times
+    no merge may span it; when it is not, the table's base has the same
+    units and no boundary. Pairs occurring fewer than min_pair_count times
     stop training early; a pair seen once cannot generalize. The tie policy
     is fixed: equal counts resolve to the smallest (left, right) id pair.
     """
@@ -80,27 +81,21 @@ class TrainOptions(Record):
 class MergeTable(Record):
     """An ordered list of merges over a base vocabulary.
 
-    ``boundary`` records the barrier actually enforced when the table was
-    built: a content unit of ``base``, or None when training was
-    unconstrained. Every rule is checked to keep boundary and special units
-    out of merged tokens, so token surfaces never mix the boundary with
-    other units. The same walk builds ``packed_rules``:
-    ``((left << shift) | right -> result, shift)``. The encoder's
-    index is built on first use, so a table that only decodes never pays
-    for it, and decoding stores the surfaces of the ids it looks up only.
+    ``base.boundary`` is the barrier the table enforces: a content unit, or
+    None when training was unconstrained. Every rule is checked to keep
+    boundary and special units out of merged tokens, so token surfaces
+    never mix the boundary with other units. The same walk builds
+    ``packed_rules``: ``((left << shift) | right -> result, shift)``. The
+    encoder's index is built on first use, so a table that only decodes
+    never pays for it, and decoding stores the surfaces of the ids it looks
+    up only.
     """
 
-    _fields = ("base", "merges", "boundary")
-    _defaults = {"boundary": None}
+    _fields = ("base", "merges")
 
     def _check(self) -> None:
-        base_size = self.base.size
-        if self.boundary is not None:
-            if not 0 <= self.boundary < base_size:
-                raise ValidationError(f"boundary id {self.boundary} outside vocabulary")
-            if self.base.is_special(self.boundary):
-                raise ValidationError("boundary must not be a special token")
-        blocked = self.base.special if self.boundary is None else self.base.special | {self.boundary}
+        base, base_size = self.base, self.base.size
+        blocked = base.special if base.boundary is None else base.special | {base.boundary}
         # Each side is checked to be below vocab_size, so a key is one pair.
         shift = max(1, (self.vocab_size - 1).bit_length())
         rules: dict[int, int] = {}
@@ -113,7 +108,7 @@ class MergeTable(Record):
                 if not 0 <= side < m.result:
                     raise ValidationError(f"merge {i}: token id {side} not yet defined", rule=i)
                 if side in blocked:
-                    if self.base.is_special(side):
+                    if base.is_special(side):
                         raise ValidationError(f"merge {i}: special token {side} may not be merged", rule=i)
                     raise ValidationError(f"merge {i}: boundary unit {side} may not be merged", rule=i)
             key = (m.left << shift) | m.right
@@ -295,8 +290,9 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
         )
     if threads < 1:
         raise ContractError("threads must be at least 1")
-    boundary = vocab.boundary if options.respect_boundaries else None
-    blocked = vocab.special if boundary is None else vocab.special | {boundary}
+    if not options.respect_boundaries:
+        vocab = BaseVocabulary(base_size, vocab.labels)  # the same units, no boundary
+    blocked = vocab.special if vocab.boundary is None else vocab.special | {vocab.boundary}
 
     # Each distinct chunk of two or more units, weighted by its occurrences.
     chunks: Counter[tuple[int, ...]] = Counter(
@@ -416,24 +412,18 @@ def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable
                 heapq.heappush(heap, (-c, key))
         merges.append(Merge(len(merges), a, b, z))
 
-    return MergeTable(vocab, tuple(merges), boundary=boundary)
+    return MergeTable(vocab, tuple(merges))
 
 
-def save_merge_table(table: MergeTable, dest) -> None:
-    """Write the versioned merge-table format.
+def save_merge_table(table: MergeTable, dest: str | Path | IO[str]) -> None:
+    """Write the versioned merge-table format to a path or text stream.
 
     Line 1 is the magic string, line 2 the base vocabulary size, line 3 the
-    boundary label (empty when unconstrained), then one ``rank left right
-    result`` row per merge.
+    base's boundary label (empty when it has none), then one ``rank left
+    right result`` row per merge.
     """
-    label = "" if table.boundary is None else table.base.surface(table.boundary)
-    lines = [MERGE_FILE_MAGIC, str(table.base.size), label]
-    lines += (f"{m.rank} {m.left} {m.right} {m.result}" for m in table.merges)
-    text = "".join(line + "\n" for line in lines)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8", newline="\n")
+    header = [MERGE_FILE_MAGIC, str(table.base.size), table.base.boundary_surface or ""]
+    write_lines(dest, chain(header, (f"{m.rank} {m.left} {m.right} {m.result}" for m in table.merges)))
 
 
 def header_boundary_label(rows: Sequence[str]) -> str | None:
@@ -450,7 +440,9 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
     file with a malformed row is walked row by row, to name the first one.
     When no vocabulary is supplied a boundary-free table gets the unlabelled
     one of its base size (numeric labels plus the standard specials);
-    tables that record a boundary label need the real vocabulary.
+    tables that record a boundary label need the real vocabulary. The
+    table's base takes line 3's boundary, whatever the given vocabulary's
+    is, so a table reads back equal to the one saved.
     """
     rows = [ln.rstrip("\n").rstrip("\r") for ln in lines]
     if not rows or rows[0] != MERGE_FILE_MAGIC:
@@ -475,9 +467,9 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
         raise ValidationError(
             f"vocabulary size {vocabulary.size} does not match recorded base size {base_size}"
         )
-    boundary = None
-    if boundary_label is not None:
-        boundary = vocabulary.id_of(boundary_label)
+    boundary = None if boundary_label is None else vocabulary.id_of(boundary_label)
+    if boundary != vocabulary.boundary:
+        vocabulary = BaseVocabulary(base_size, vocabulary.labels, boundary)
 
     fields = list(map(str.split, rows[3:]))
     if set(map(len, fields)) <= {4}:
@@ -488,7 +480,7 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
         else:
             columns = zip(nums[0::4], nums[1::4], nums[2::4], nums[3::4])
             try:
-                return MergeTable(vocabulary, tuple(map(Merge._make, columns)), boundary=boundary)
+                return MergeTable(vocabulary, tuple(map(Merge._make, columns)))
             except ValidationError as err:
                 if err.rule is None:
                     raise

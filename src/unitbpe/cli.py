@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
-from typing import IO, Callable
 
 from . import bpe, codec
 from .corpus import (
@@ -38,26 +36,18 @@ from .corpus import (
     read_lines,
     save_vocabulary,
     unit_label,
+    write_lines,
 )
-from .errors import ContractError, ParseError, UnitBpeError, ValidationError
+from .errors import ContractError, UnitBpeError, ValidationError
 
 
 def _read_lines(path: str) -> list[str]:
     return decode_lines(sys.stdin.buffer.read()) if path == "-" else read_lines(path)
 
 
-@contextmanager
-def _out_stream(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-
-
-def _write_lines(out: IO[str], lines) -> None:
-    for line in lines:
-        out.write(line + "\n")
+def _out(path: str):
+    """An --out path as write_lines takes it: ``-`` is stdout."""
+    return sys.stdout if path == "-" else path
 
 
 def _parent() -> argparse.ArgumentParser:
@@ -193,7 +183,7 @@ def _stop_reason(corpus: Corpus, table: bpe.MergeTable, min_pair_count: int) -> 
     corpus with the finished table reproduces the trainer's last state
     (README, "Semantics"), so these are the pair counts it stopped on."""
     encoded = codec.encode_corpus(corpus, table).sequences
-    counts = bpe.pair_counts(encoded, table.boundary, table.base.special)
+    counts = bpe.pair_counts(encoded, table.base.boundary, table.base.special)
     if not counts:
         return "no pair is left to merge"
     return f"the best remaining pair has count {max(counts.values())}, below --min-pair-count {min_pair_count}"
@@ -213,8 +203,7 @@ def _cmd_train(args) -> int:
         table = bpe.train(corpus, options, threads=args.threads)
     if args.save_vocab:
         save_vocabulary(corpus.vocabulary, args.save_vocab)
-    with _out_stream(args.out) as out:
-        bpe.save_merge_table(table, out)
+    bpe.save_merge_table(table, _out(args.out))
     if table.vocab_size < args.target_size:
         print(
             f"unitbpe: note: stopped after {len(table.merges)} merges at |Z| = {table.vocab_size},"
@@ -232,48 +221,23 @@ def _cmd_encode(args) -> int:
         sequences = tuple(naive_encode(seq, table) for seq in corpus.sequences)
     else:
         sequences = codec.encode_corpus(corpus, table, threads=args.threads).sequences
-    with _out_stream(args.out) as out:
-        _write_lines(out, codec.token_lines(sequences, table, surfaces=args.surfaces))
+    write_lines(_out(args.out), codec.token_lines(sequences, table, surfaces=args.surfaces))
     return 0
 
 
-class _TokenText(dict):
-    """A token's text -> its units rendered in the output format, filled the
-    first time the text is looked up. A text that is not the id of a content
-    unit or merged token raises KeyError and is not stored."""
-
-    __slots__ = ("surface", "size", "special", "label")
-
-    def __init__(self, table: bpe.MergeTable, label: Callable[[int], str]):
-        super().__init__()
-        self.surface = table._expansions.__getitem__  # token_surface without its call
-        self.size, self.special, self.label = table.vocab_size, table.base.special, label
-
-    def __missing__(self, text: str) -> str:
-        try:
-            token_id = int(text)
-        except ValueError:
-            raise KeyError(text) from None
-        if not 0 <= token_id < self.size or token_id in self.special:
-            raise KeyError(text)
-        rendered = self[text] = " ".join(map(self.label, self.surface(token_id)))
-        return rendered
-
-
-def _token_line_fault(line: str, lineno: int, table: bpe.MergeTable) -> UnitBpeError:
-    """The first fault of a token line that has one, found in the order of
-    a whole-line check: a non-integer token, then an id outside the merged
-    vocabulary, then a special id."""
-    try:
-        ids = parse_id_line(line, lineno)
-    except ParseError as exc:
-        return exc
-    size = table.vocab_size
-    bad = next((t for t in ids if not 0 <= t < size), None)
-    if bad is not None:
-        return ValidationError(f"line {lineno}: token id {bad} outside vocabulary of size {size}")
-    bad = next(t for t in ids if table.base.is_special(t))
-    return ValidationError(f"line {lineno}: token id {bad} is a reserved special token")
+def _token_ids(line: str, lineno: int, table: bpe.MergeTable) -> tuple[int, ...]:
+    """The ids of a line of tokens that decode. Otherwise the line's first
+    fault is raised, in the order of a whole-line check: a non-integer
+    token, then an id outside the merged vocabulary, then a special id."""
+    ids = parse_id_line(line, lineno)
+    size, special = table.vocab_size, table.base.special
+    if ids and (min(ids) < 0 or max(ids) >= size):
+        bad = next(t for t in ids if not 0 <= t < size)
+        raise ValidationError(f"line {lineno}: token id {bad} outside vocabulary of size {size}")
+    if not special.isdisjoint(ids):
+        bad = next(t for t in ids if t in special)
+        raise ValidationError(f"line {lineno}: token id {bad} is a reserved special token")
+    return ids
 
 
 def _cmd_decode(args) -> int:
@@ -281,32 +245,41 @@ def _cmd_decode(args) -> int:
     the output must be a corpus file, and those never hold specials.
 
     A line costs one lookup per token in a map from a token's text (``5``
-    and ``05`` apart) to its rendered units, which fills itself the first
-    time it meets a text. Only a line with a text that is no valid id is
-    walked again, to name its first fault; nothing is written unless every
-    line decodes. No Corpus is built."""
+    and ``05`` apart) to its rendered units. When a line holds texts the map
+    lacks, only those can be faulty, so they are checked together first; if
+    one is, the whole line is checked to name its first fault. Either way no
+    surface is built before the line is known to decode. Nothing is written
+    unless every line decodes. No Corpus is built."""
     table = _load_table(args)
-    render = _TokenText(table, unit_label(table.base, args.format)).__getitem__
+    label, surface = unit_label(table.base, args.format), table._expansions.__getitem__
+    rendered: dict[str, str] = {}
     lines = []
     for lineno, line in enumerate(_read_lines(args.input), start=1):
+        texts = line.split()
         try:
-            lines.append(" ".join(map(render, line.split())))
+            lines.append(" ".join(map(rendered.__getitem__, texts)))
         except KeyError:
-            raise _token_line_fault(line, lineno, table) from None
-    with _out_stream(args.out) as out:
-        _write_lines(out, lines)
+            new = list(set(texts).difference(rendered))
+            try:
+                ids = _token_ids(" ".join(new), lineno, table)
+            except UnitBpeError:
+                _token_ids(line, lineno, table)  # raises the fault first in the line
+                raise
+            for text, token_id in zip(new, ids):
+                rendered[text] = " ".join(map(label, surface(token_id)))
+            lines.append(" ".join(map(rendered.__getitem__, texts)))
+    write_lines(_out(args.out), lines)
     return 0
 
 
 def _write_fields(args, fields: dict) -> None:
     """A report to --out: ``name value`` lines, or an indented JSON object."""
-    with _out_stream(args.out) as out:
-        if args.json:
-            import json
+    if args.json:
+        import json
 
-            out.write(json.dumps(fields, indent=2) + "\n")
-        else:
-            _write_lines(out, (f"{k} {v}" for k, v in fields.items()))
+        write_lines(_out(args.out), [json.dumps(fields, indent=2)])
+    else:
+        write_lines(_out(args.out), (f"{k} {v}" for k, v in fields.items()))
 
 
 def _cmd_stats(args) -> int:
@@ -336,11 +309,10 @@ def _cmd_tradeoff(args) -> int:
         for eps in args.eps
         for n in args.n
     ]
-    with _out_stream(args.out) as out:
-        if args.json:
-            out.write(json.dumps(rows, indent=2) + "\n")
-        else:
-            _write_lines(out, (f"eps={r['eps']:g} n={r['n']} p={r['probability']:.6f}" for r in rows))
+    if args.json:
+        write_lines(_out(args.out), [json.dumps(rows, indent=2)])
+    else:
+        write_lines(_out(args.out), (f"eps={r['eps']:g} n={r['n']} p={r['probability']:.6f}" for r in rows))
     return 0
 
 
@@ -352,8 +324,7 @@ def _cmd_synth(args) -> int:
     else:
         spec, generate = synth.RunLengthSpec, synth.gen_runlength_corpus
     corpus = generate(spec(**{f: getattr(args, f) for f in spec._fields}))
-    with _out_stream(args.out) as out:
-        _write_lines(out, corpus_lines(corpus, FORMAT_DAU))
+    write_lines(_out(args.out), corpus_lines(corpus, FORMAT_DAU))
     return 0
 
 

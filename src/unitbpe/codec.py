@@ -128,15 +128,18 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
     """Encode every sequence in order, in one thread; ``threads`` must be at
     least 1 and changes nothing else.
 
-    When the table has a boundary, each sequence is split at it and every
-    distinct chunk is encoded once: no rule involves the boundary, so a
-    chunk's tokens do not depend on its neighbours."""
-    if corpus.vocabulary != table.base:
+    The corpus must have the table's units: its vocabulary's size and
+    labels. Its boundary may differ, since the table's is the one that
+    applies. When the table has a boundary, each sequence is split at it
+    and every distinct chunk is encoded once: no rule involves the boundary,
+    so a chunk's tokens do not depend on its neighbours."""
+    vocab, base = corpus.vocabulary, table.base
+    if (vocab.size, vocab.labels) != (base.size, base.labels):
         raise ValidationError("corpus vocabulary does not match the merge table's base vocabulary")
     if threads < 1:
         raise ContractError("threads must be at least 1")
     index = table._encoder_index
-    boundary = table.boundary
+    boundary = base.boundary
     if boundary is None:
         encoded = [tuple(_encode_ids(s.units, index)) for s in corpus.sequences]
     else:

@@ -250,6 +250,15 @@ def read_lines(path: str | Path) -> list[str]:
     return decode_lines(Path(path).read_bytes())
 
 
+def write_lines(dest: str | Path | IO[str], lines: Iterable[str]) -> None:
+    """Write each line plus LF to a text stream, or to a UTF-8 file at a path."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            return write_lines(fh, lines)
+    for line in lines:
+        dest.write(line + "\n")
+
+
 def load_vocabulary(
     path: str | Path, boundary_label: str | None = DEFAULT_BOUNDARY_LABEL
 ) -> BaseVocabulary:
@@ -271,10 +280,9 @@ def load_vocabulary(
     return symbolic_vocabulary(lines, boundary_label)
 
 
-def save_vocabulary(vocabulary: BaseVocabulary, path: str | Path) -> None:
+def save_vocabulary(vocabulary: BaseVocabulary, path: str | Path | IO[str]) -> None:
     """Write the content labels of a vocabulary, one per line."""
-    lines = map(vocabulary.surface, vocabulary.content_ids())
-    Path(path).write_text("".join(s + "\n" for s in lines), encoding="utf-8")
+    write_lines(path, map(vocabulary.surface, vocabulary.content_ids()))
 
 
 class UnitSequence(Record):
@@ -449,13 +457,7 @@ def sequence_lines(
 
 def save_corpus(corpus: Corpus, dest: str | Path | IO[str], format: str) -> None:
     """Write a corpus in the given format, one sequence per line, LF endings."""
-    if hasattr(dest, "write"):
-        for line in corpus_lines(corpus, format):
-            dest.write(line + "\n")
-    else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            for line in corpus_lines(corpus, format):
-                fh.write(line + "\n")
+    write_lines(dest, corpus_lines(corpus, format))
 
 
 def split_chunks(units: tuple[int, ...], blocked: AbstractSet[int]) -> Iterator[tuple[int, ...]]:

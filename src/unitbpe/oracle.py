@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .bpe import Merge, MergeTable, TrainOptions
 from .codec import TokenSequence
-from .corpus import Corpus, UnitSequence
+from .corpus import BaseVocabulary, Corpus, UnitSequence
 from .errors import ContractError, ValidationError
 
 
@@ -50,10 +50,11 @@ def naive_train(corpus: Corpus, options: TrainOptions) -> MergeTable:
         raise ContractError(
             f"target_size {options.target_size} must exceed base vocabulary size {base_size}"
         )
+    if not options.respect_boundaries:
+        vocab = BaseVocabulary(base_size, vocab.labels)
     blocked = set(vocab.special)
-    boundary = vocab.boundary if options.respect_boundaries else None
-    if boundary is not None:
-        blocked.add(boundary)
+    if vocab.boundary is not None:
+        blocked.add(vocab.boundary)
 
     state = [list(seq.units) for seq in corpus.sequences]
     merges: list[Merge] = []
@@ -68,7 +69,7 @@ def naive_train(corpus: Corpus, options: TrainOptions) -> MergeTable:
         z = base_size + len(merges)
         state = [_replace_pair(seq, a, b, z) for seq in state]
         merges.append(Merge(len(merges), a, b, z))
-    return MergeTable(vocab, tuple(merges), boundary=boundary)
+    return MergeTable(vocab, tuple(merges))
 
 
 def naive_encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:

@@ -71,4 +71,4 @@ def untrained_tables(draw, max_content=5, max_merges=16, vocabularies=None):
         pair = (draw(usable), draw(usable))
         if pair not in {(m.left, m.right) for m in merges}:
             merges.append(Merge(len(merges), pair[0], pair[1], base + len(merges)))
-    return MergeTable(vocab, tuple(merges), boundary=vocab.boundary)
+    return MergeTable(vocab, tuple(merges))

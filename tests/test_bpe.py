@@ -6,6 +6,7 @@ import random
 import pytest
 
 from unitbpe import (
+    BaseVocabulary,
     ContractError,
     Corpus,
     Merge,
@@ -77,7 +78,7 @@ class TestTraining:
         corpus = read_corpus(["x _ y"], "symbolic", vocab)
         table = train(corpus, TrainOptions(target_size=len(vocab) + 5))
         assert table.merges == ()
-        assert table.boundary == vocab.boundary
+        assert table.base == vocab
 
     def test_left_to_right_non_overlapping_replacement(self):
         vocab = letters("a")
@@ -160,7 +161,8 @@ class TestTraining:
         assert constrained.merges == ()
         free = train(corpus, TrainOptions(target_size=len(vocab) + 3, respect_boundaries=False))
         assert free.merges != ()
-        assert free.boundary is None
+        assert free.base == BaseVocabulary(vocab.size, vocab.labels)
+        assert free.base.boundary is None
 
     def test_specials_never_merged(self):
         vocab = letters("a", boundary=None)
@@ -221,7 +223,7 @@ class TestMergeTableInvariants:
         with pytest.raises(ValidationError):
             MergeTable(vocab, (Merge(0, pad, 0, len(vocab)),))
         with pytest.raises(ValidationError):
-            MergeTable(vocab, (Merge(0, vocab.boundary, 0, len(vocab)),), boundary=vocab.boundary)
+            MergeTable(vocab, (Merge(0, vocab.boundary, 0, len(vocab)),))
 
     def test_no_surface_mixes_boundary_with_other_units(self):
         rng = random.Random(23)
@@ -247,7 +249,7 @@ class TestMergeTableFile:
         table = train(corpus, TrainOptions(target_size=len(vocab) + 2, min_pair_count=1))
         again = self.roundtrip(table)
         assert again.merges == table.merges
-        assert again.boundary is None
+        assert again.base.boundary is None
         assert again.base == vocab  # synthesized vocabulary matches
 
     def test_round_trip_with_boundary_needs_vocabulary(self):
@@ -261,6 +263,24 @@ class TestMergeTableFile:
             parse_merge_table(lines)
         again = parse_merge_table(lines, vocab)
         assert again == table
+
+    @pytest.mark.parametrize("line3", ["_", ""], ids=["file-has-boundary", "file-has-none"])
+    def test_line_3_decides_the_boundary(self, line3):
+        # The same labels with either boundary: the file's line 3 wins.
+        labels = ("a", "b", "_")
+        given = {"_": BaseVocabulary(6, labels), "": BaseVocabulary(6, labels, 2)}[line3]
+        table = parse_merge_table(["unitbpe-v1", "6", line3, "0 0 1 6"], given)
+        assert table.base == BaseVocabulary(6, labels, 2 if line3 else None)
+        corpus = read_corpus(["a b _ a b"], "symbolic", given)
+        assert encode_corpus(corpus, table).sequences[0].tokens == (6, 2, 6)
+
+    def test_unconstrained_table_round_trips_over_a_vocabulary_with_a_boundary(self):
+        vocab = letters("a", "b", boundary="_")
+        corpus = read_corpus(["a b _ a b", "a b"], "symbolic", vocab)
+        table = train(corpus, TrainOptions(target_size=len(vocab) + 3, respect_boundaries=False))
+        assert table.base == letters("a", "b", "_") and table.merges
+        assert self.roundtrip(table, vocab) == table
+        assert self.roundtrip(table, table.base) == table
 
     def test_magic_header_required(self):
         with pytest.raises(ParseError):
@@ -369,20 +389,13 @@ class TestErrors:
              "token id 4 outside vocabulary of size 4"),
             (lambda: MergeTable(letters("a"), ()).token_surface(-1), ValidationError,
              "token id -1 outside vocabulary of size 4"),
-            (lambda: MergeTable(dau_vocabulary(3), (), boundary=7), ValidationError,
-             "boundary id 7 outside vocabulary"),
-            (lambda: MergeTable(dau_vocabulary(3), (), boundary=-1), ValidationError,
-             "boundary id -1 outside vocabulary"),
-            (lambda: MergeTable(dau_vocabulary(3), (), boundary=4), ValidationError,
-             "boundary must not be a special token"),
             (lambda: parse_merge_table(["unitbpe-v1", "7", "<pad>"], letters("a", "b", "c", boundary="_")),
              ValidationError, "boundary must not be a special token"),
             (lambda: train(read_corpus(["0 1 0 1"], "dau-int"), TrainOptions(8), threads=0), ContractError,
              "threads must be at least 1"),
         ],
         ids=["min-pair-count-0", "target-above-2^63", "surface-past-end", "surface-negative",
-             "boundary-past-base", "boundary-negative", "boundary-special", "boundary-special-in-file",
-             "threads-0"],
+             "boundary-special-in-file", "threads-0"],
     )
     def test_error_type_and_text(self, call, error, message):
         with pytest.raises(UnitBpeError) as err:

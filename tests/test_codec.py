@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitbpe import (
+    BaseVocabulary,
     ContractError,
     Corpus,
     Merge,
@@ -108,9 +109,20 @@ class TestEncodeCorpus:
 
     def test_vocabulary_must_match_table(self):
         table = table_ab()
-        other = symbolic_vocabulary(["x", "y", "z"], boundary_label=None)
-        with pytest.raises(ValidationError):
-            encode_corpus(Corpus(other, ()), table)
+        for other in (symbolic_vocabulary(["x", "y", "z"], boundary_label=None), symbolic_vocabulary(["a", "b"])):
+            with pytest.raises(ValidationError) as err:
+                encode_corpus(Corpus(other, ()), table)
+            assert str(err.value) == "corpus vocabulary does not match the merge table's base vocabulary"
+
+    def test_the_table_boundary_applies_whatever_the_corpus_has(self):
+        # Units a, _ and the specials; only the boundary differs.
+        free, walled = BaseVocabulary(5, ("a", "_")), BaseVocabulary(5, ("a", "_"), 1)
+        across = MergeTable(free, (Merge(0, 0, 1, 5),))
+        corpus = read_corpus(["a _ a", "a a _ a a"], "symbolic", walled)
+        assert [s.tokens for s in encode_corpus(corpus, across).sequences] == [(5, 0), (0, 5, 0, 0)]
+        within = MergeTable(walled, (Merge(0, 0, 0, 5),))
+        corpus = read_corpus(["a a _ a a"], "symbolic", free)
+        assert encode_corpus(corpus, within).sequences[0].tokens == (5, 1, 5)
 
     def test_threads_below_1_rejected(self):
         corpus = read_corpus(["a b a b"], "symbolic", symbolic_vocabulary(["a", "b"]))

@@ -124,8 +124,12 @@ class TestVocabularies:
     @given(
         labels=st.lists(st.text(min_size=1, max_size=4), max_size=6, unique=True),
         boundary=st.none() | st.integers(0, 5),
+        respect_boundaries=st.booleans(),
+        min_pair_count=st.integers(1, 3),
     )
-    def test_every_accepted_vocabulary_round_trips_through_files(self, tmp_path_factory, labels, boundary):
+    def test_every_accepted_vocabulary_round_trips_through_files(
+        self, tmp_path_factory, labels, boundary, respect_boundaries, min_pair_count
+    ):
         # Empty and repeated labels are left to TestErrors, so most draws build.
         if boundary is not None and boundary >= len(labels):
             boundary = None
@@ -138,7 +142,8 @@ class TestVocabularies:
         assert load_vocabulary(sidecar, boundary_label=vocab.boundary_surface) == vocab
 
         units = tuple(vocab.content_ids()) * 2
-        table = train(Corpus(vocab, (UnitSequence(units),)), TrainOptions(target_size=vocab.size + 3))
+        options = TrainOptions(vocab.size + 3, respect_boundaries, min_pair_count)
+        table = train(Corpus(vocab, (UnitSequence(units),)), options)
         out = io.StringIO()
         save_merge_table(table, out)
         lines = out.getvalue().splitlines()

@@ -108,7 +108,7 @@ class TestEquivalence:
         fast = train(corpus, options)
         reference = naive_train(corpus, options)
         assert fast.merges == reference.merges
-        assert fast.boundary == reference.boundary
+        assert fast.base == reference.base
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

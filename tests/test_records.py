@@ -30,7 +30,7 @@ RECORDS = {
         {"max_length": 4},
     ),
     "TrainOptions": ({"target_size": 9}, {"respect_boundaries": True, "min_pair_count": 2}, {"min_pair_count": 3}),
-    "MergeTable": ({"base": VOCAB, "merges": (Merge(0, 0, 1, 5),)}, {"boundary": None}, {"merges": ()}),
+    "MergeTable": ({"base": VOCAB, "merges": (Merge(0, 0, 1, 5),)}, {}, {"merges": ()}),
     "TokenSequence": ({"tokens": (5, 0)}, {}, {"tokens": (5,)}),
     "EncodedCorpus": (
         {"sequences": (TokenSequence((5, 0)),), "total_units": 3, "total_tokens": 2}, {}, {"total_tokens": 3}

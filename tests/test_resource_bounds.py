@@ -94,6 +94,23 @@ def test_decode_stores_only_the_surfaces_it_reads(tmp_path, tokens, out):
     assert proc.stdout == out
 
 
+@pytest.mark.parametrize(
+    "tokens, fault",
+    [
+        ("43 x\n", "non-integer token 'x'"),
+        ("43 44\n", "token id 44 outside vocabulary of size 44"),
+        ("43 1\n", "token id 1 is a reserved special token"),
+    ],
+    ids=["non-integer", "past-end", "special"],
+)
+def test_decode_names_a_fault_before_it_builds_a_surface(tmp_path, tokens, fault):
+    # Token 43 spells 2^41 units: the line's fault must be found first.
+    (tmp_path / "doubling.bpe").write_text(DOUBLING, encoding="utf-8")
+    (tmp_path / "t.txt").write_text(tokens, encoding="utf-8")
+    proc = run_limited(tmp_path, "-m", "unitbpe", "decode", "--input", "t.txt", "--merges", "doubling.bpe")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"unitbpe: error: line 1: {fault}\n")
+
+
 @pytest.mark.parametrize("n", [2**63 - 4, 2**63, 2**64], ids=["2^63-4", "2^63", "2^64"])
 def test_ids_and_sizes_past_int64_exit_cleanly(tmp_path, n):
     # c.txt holds id n, m.bpe records base size n, and t.txt token id n.
