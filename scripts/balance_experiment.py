@@ -2,8 +2,10 @@
 """How does merge training change distribution balance?
 
 Generates two seeded corpora (a skewed i.i.d. draw and a run-structured
-stream), trains merge tables at several vocabulary sizes, and prints the
-normalized entropy before and after re-tokenization.
+stream), trains one merge table per corpus to the largest of several
+vocabulary sizes, and prints the normalized entropy before and after
+re-tokenization at each size. The first r merges of a run are the merges a
+run to r makes, so each smaller size is analysed with a prefix of the table.
 
 Usage:
     python3 scripts/balance_experiment.py [--seed 711] [--units 1000000]
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 
 from unitbpe import (
+    MergeTable,
     RunLengthSpec,
     TrainOptions,
     ZipfSpec,
@@ -28,9 +31,9 @@ def run_case(name: str, corpus, targets: list[int]) -> None:
     base = len(corpus.vocabulary)
     print(f"\n{name}: |X|={base}, units={corpus.total_units}")
     print(f"  {'|Z|':>6}  {'balance_before':>14}  {'balance_after':>13}  {'reduction':>9}")
+    full = train(corpus, TrainOptions(target_size=max(targets)))
     for target in targets:
-        table = train(corpus, TrainOptions(target_size=target))
-        rep = analyze(corpus, table)
+        rep = analyze(corpus, MergeTable(full.base, full.merges[: target - base]))
         print(
             f"  {rep.token_vocab:>6}  {rep.balance_before:>14.4f}"
             f"  {rep.balance_after:>13.4f}  {rep.reduction:>9.3f}"

@@ -19,7 +19,6 @@ from .bpe import (
     MergeTable,
     TrainOptions,
     load_merge_table,
-    pair_counts,
     parse_merge_table,
     save_merge_table,
     train,
@@ -53,7 +52,7 @@ _LAZY = {
         "edit_distance", "entropy", "error_rate", "normalized_entropy", "reduction",
         "run_length_stats", "token_distribution",
     ),
-    "oracle": ("naive_encode", "naive_train"),
+    "oracle": ("naive_encode", "naive_train", "pair_counts"),
     "synth": ("RunLengthSpec", "SplitMix64", "ZipfSpec", "gen_runlength_corpus", "gen_zipf_corpus"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
@@ -72,37 +71,8 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY_MODULE})
 
 
+# The public names: every name imported above from a submodule, and the lazy ones.
 __all__ = [
-    "BaseVocabulary",
-    "ContractError",
-    "Corpus",
-    "CorpusStats",
-    "EncodedCorpus",
-    "Merge",
-    "MergeTable",
-    "ParseError",
-    "TokenSequence",
-    "TrainOptions",
-    "UnitBpeError",
-    "UnitSequence",
-    "ValidationError",
-    "corpus_stats",
-    "dau_vocabulary",
-    "decode",
-    "encode",
-    "encode_corpus",
-    "join_chunks",
-    "load_corpus",
-    "load_merge_table",
-    "load_vocabulary",
-    "pair_counts",
-    "parse_merge_table",
-    "read_corpus",
-    "save_corpus",
-    "save_merge_table",
-    "save_vocabulary",
-    "split_on_boundaries",
-    "symbolic_vocabulary",
-    "train",
+    *sorted(name for name, value in globals().items() if getattr(value, "__module__", "").startswith("unitbpe.")),
     *_LAZY_MODULE,
 ]

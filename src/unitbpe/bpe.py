@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import chain
 from operator import index
 from pathlib import Path
-from typing import IO, Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 from .corpus import BaseVocabulary, Corpus, Record, read_lines, split_chunks, write_lines
 from .errors import ContractError, ParseError, ValidationError
@@ -248,31 +248,6 @@ def _seam_check(
                 t2 = left[t2]
 
     return fits
-
-
-def pair_counts(
-    sequences: Iterable[Sequence[int]],
-    boundary: int | None = None,
-    special: Collection[int] = (),
-) -> Counter[tuple[int, int]]:
-    """Count every adjacent ordered pair across sequences.
-
-    All adjacent positions are counted ("a a a" gives (a,a) -> 2); the
-    non-overlapping semantics of replacement only show up in the recount
-    after a merge is applied. Pairs touching the boundary or a special id
-    are excluded. Pairs never span sequences.
-    """
-    blocked = set(special)
-    if boundary is not None:
-        blocked.add(boundary)
-    counts: Counter[tuple[int, int]] = Counter()
-    for seq in sequences:
-        prev = None
-        for cur in seq:
-            if prev is not None and prev not in blocked and cur not in blocked:
-                counts[(prev, cur)] += 1
-            prev = cur
-    return counts
 
 
 def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable:

@@ -8,9 +8,9 @@ analyze take the boundary label from the merge file, so only train and
 stats accept --boundary/--no-boundary. No subcommand draws hidden
 randomness; generators require an explicit --seed.
 
-The analysis, reference and generator modules (and json) are imported
-inside the subcommands that use them, so train, encode and decode start
-without them. The package's records are plain classes rather than
+The analysis, reference and generator modules are imported inside the
+subcommands that use them, and json only under --json, so train, encode
+and decode start without them. The package's records are plain classes rather than
 dataclasses, so no subcommand imports ``dataclasses`` (or the ``inspect``
 it pulls in) or builds methods with ``exec`` as it starts.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable
 
 from . import bpe, codec
 from .corpus import (
@@ -182,8 +183,10 @@ def _stop_reason(corpus: Corpus, table: bpe.MergeTable, min_pair_count: int) -> 
     """Why training stopped short of its target. Encoding the training
     corpus with the finished table reproduces the trainer's last state
     (README, "Semantics"), so these are the pair counts it stopped on."""
+    from .oracle import pair_counts
+
     encoded = codec.encode_corpus(corpus, table).sequences
-    counts = bpe.pair_counts(encoded, table.base.boundary, table.base.special)
+    counts = pair_counts(encoded, table.base.boundary, table.base.special)
     if not counts:
         return "no pair is left to merge"
     return f"the best remaining pair has count {max(counts.values())}, below --min-pair-count {min_pair_count}"
@@ -272,14 +275,13 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _write_fields(args, fields: dict) -> None:
-    """A report to --out: ``name value`` lines, or an indented JSON object."""
+def _write_report(args, data, lines: Iterable[str]) -> None:
+    """A report to --out: indented JSON of data with --json, else the text lines."""
     if args.json:
         import json
 
-        write_lines(_out(args.out), [json.dumps(fields, indent=2)])
-    else:
-        write_lines(_out(args.out), (f"{k} {v}" for k, v in fields.items()))
+        lines = [json.dumps(data, indent=2)]
+    write_lines(_out(args.out), lines)
 
 
 def _cmd_stats(args) -> int:
@@ -287,7 +289,8 @@ def _cmd_stats(args) -> int:
 
     corpus = _read_corpus(args)
     run_mean = corpus_run_length_mean(s.units for s in corpus.sequences)
-    _write_fields(args, dict(corpus_stats(corpus)._asdict(), run_length_mean=run_mean))
+    fields = dict(corpus_stats(corpus)._asdict(), run_length_mean=run_mean)
+    _write_report(args, fields, (f"{k} {v}" for k, v in fields.items()))
     return 0
 
 
@@ -295,13 +298,12 @@ def _cmd_analyze(args) -> int:
     from .metrics import analyze
 
     table = _load_table(args)
-    _write_fields(args, analyze(_read_corpus(args, table.base), table)._asdict())
+    fields = analyze(_read_corpus(args, table.base), table)._asdict()
+    _write_report(args, fields, (f"{k} {v}" for k, v in fields.items()))
     return 0
 
 
 def _cmd_tradeoff(args) -> int:
-    import json
-
     from .metrics import edge_case_probability
 
     rows = [
@@ -309,10 +311,7 @@ def _cmd_tradeoff(args) -> int:
         for eps in args.eps
         for n in args.n
     ]
-    if args.json:
-        write_lines(_out(args.out), [json.dumps(rows, indent=2)])
-    else:
-        write_lines(_out(args.out), (f"eps={r['eps']:g} n={r['n']} p={r['probability']:.6f}" for r in rows))
+    _write_report(args, rows, (f"eps={r['eps']:g} n={r['n']} p={r['probability']:.6f}" for r in rows))
     return 0
 
 

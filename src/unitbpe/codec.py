@@ -156,9 +156,8 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
                 out.append(boundary)
             out.pop()
             encoded.append(tuple(out))
-    total_units = sum(len(s) for s in corpus.sequences)
     total_tokens = sum(len(t) for t in encoded)
-    return EncodedCorpus(tuple(TokenSequence(t) for t in encoded), total_units, total_tokens)
+    return EncodedCorpus(tuple(TokenSequence(t) for t in encoded), corpus.total_units, total_tokens)
 
 
 def token_lines(

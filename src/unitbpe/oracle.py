@@ -10,20 +10,37 @@ types with the fast path, never its bookkeeping.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import pairwise
+from typing import Collection, Iterable
+
 from .bpe import Merge, MergeTable, TrainOptions
 from .codec import TokenSequence
 from .corpus import BaseVocabulary, Corpus, UnitSequence
 from .errors import ContractError, ValidationError
 
 
-def _scan_counts(sequences: list[list[int]], blocked: set[int]) -> dict[tuple[int, int], int]:
+def pair_counts(
+    sequences: Iterable[Iterable[int]],
+    boundary: int | None = None,
+    special: Collection[int] = (),
+) -> Counter[tuple[int, int]]:
+    """Count every adjacent ordered pair across sequences.
+
+    All adjacent positions are counted ("a a a" gives (a,a) -> 2); the
+    non-overlapping semantics of replacement only show up in the recount
+    after a merge is applied. Pairs touching the boundary or a special id
+    are excluded. Pairs never span sequences.
+    """
+    blocked = {*special, boundary}  # a boundary of None is in no pair
+    # A plain dict, copied once: a store into a Counter, a dict subclass,
+    # takes about half as long again.
     counts: dict[tuple[int, int], int] = {}
     for seq in sequences:
-        for x, y in zip(seq, seq[1:]):
-            if x in blocked or y in blocked:
-                continue
-            counts[(x, y)] = counts.get((x, y), 0) + 1
-    return counts
+        for pair in pairwise(seq):
+            if blocked.isdisjoint(pair):
+                counts[pair] = counts.get(pair, 0) + 1
+    return Counter(counts)
 
 
 def _replace_pair(seq: list[int], a: int, b: int, z: int) -> list[int]:
@@ -52,14 +69,11 @@ def naive_train(corpus: Corpus, options: TrainOptions) -> MergeTable:
         )
     if not options.respect_boundaries:
         vocab = BaseVocabulary(base_size, vocab.labels)
-    blocked = set(vocab.special)
-    if vocab.boundary is not None:
-        blocked.add(vocab.boundary)
 
     state = [list(seq.units) for seq in corpus.sequences]
     merges: list[Merge] = []
     while base_size + len(merges) < options.target_size:
-        counts = _scan_counts(state, blocked)
+        counts = pair_counts(state, vocab.boundary, vocab.special)
         if not counts:
             break
         best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -683,6 +683,12 @@ class TestFreshInterpreter:
             assert not loaded & LAZY_MODULES, argv[0]
         assert back.read_bytes() == dau_corpus.read_bytes()
 
+    @pytest.mark.parametrize("target, short", [("8", False), ("100", True)], ids=["reached", "short"])
+    def test_only_a_short_stop_loads_the_oracle(self, tmp_path, dau_corpus, target, short):
+        # The note on why training stopped counts pairs with oracle.pair_counts.
+        argv = ["train", "--input", str(dau_corpus), "--target-size", target, "--out", str(tmp_path / "m.bpe")]
+        assert ("unitbpe.oracle" in imported_modules("-m", "unitbpe", *argv)) is short
+
     def test_no_dataclasses_at_start_up(self, tmp_path, dau_corpus):
         merges, tok = tmp_path / "m.bpe", tmp_path / "tok.txt"
         for argv in (

@@ -185,6 +185,19 @@ class TestDuplicateChunks:
         ]
         assert train(corpus, TrainOptions(target_size=base + 2, min_pair_count=3)).merges == table.merges[:1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(chunked_corpora(), st.booleans(), st.integers(1, 3), st.integers(1, 20), st.integers(0, 20))
+    def test_a_shorter_run_makes_the_first_merges_of_a_longer_one(self, corpus, respect, min_count, small, more):
+        # The experiment scripts train once, to their largest size, and
+        # analyse each smaller size with a prefix of that table.
+        base = len(corpus.vocabulary)
+        short, full = (
+            train(corpus, TrainOptions(target_size=base + n, respect_boundaries=respect, min_pair_count=min_count))
+            for n in (small, small + more)
+        )
+        assert short.merges == full.merges[:small]
+        assert short == MergeTable(full.base, full.merges[:small])
+
 
 class TestUntrainedTables:
     @settings(max_examples=300, deadline=None)
