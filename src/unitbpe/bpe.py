@@ -21,8 +21,7 @@ contract is defined by equivalence with the reference implementation that
 rescans the corpus every iteration (see the oracle module).
 
 A merge table's validating walk over its rules also builds its packed rule
-index; the encoder's trie over token surfaces is built on the first encode,
-and a token's surface the first time that token is looked up.
+index; a token's surface is built the first time that token is looked up.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from functools import cached_property
 from itertools import chain
 from operator import index
 from pathlib import Path
-from typing import IO, Callable, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .corpus import BaseVocabulary, Corpus, Record, read_lines, split_chunks, write_lines
 from .errors import ContractError, ParseError, ValidationError
@@ -85,10 +84,8 @@ class MergeTable(Record):
     None when training was unconstrained. Every rule is checked to keep
     boundary and special units out of merged tokens, so token surfaces
     never mix the boundary with other units. The same walk builds
-    ``packed_rules``: ``((left << shift) | right -> result, shift)``. The
-    encoder's index is built on first use, so a table that only decodes
-    never pays for it, and decoding stores the surfaces of the ids it looks
-    up only.
+    ``packed_rules``: ``((left << shift) | right -> result, shift)``.
+    Decoding stores the surfaces of the ids it looks up only.
     """
 
     _fields = ("base", "merges")
@@ -128,48 +125,12 @@ class MergeTable(Record):
         return _Surfaces(self.merges, self.base.size, self.vocab_size)
 
     @cached_property
-    def _encoder_index(self) -> tuple:
-        # The backtracking encoder's index, over the kept tokens: those whose
-        # surface encodes to themselves. Every base id is kept; a merged
-        # token is kept when both halves are and their seam holds below it.
-        # The trie holds kept surfaces only: it maps node << shift | unit to
-        # a child, which is a kept token or a negative id for a prefix that
-        # is none, and each base id is its own root. shorter maps each kept
-        # merged token to the longest kept proper prefix, with its length.
-        # Nothing here is per base id. The tuple ends with shift and |Z|,
-        # the seam check's limit for two adjacent output tokens.
-        base = self.base.size
-        rules, shift = self.packed_rules
-        left: dict[int, int] = {}
-        right: dict[int, int] = {}
-        fits = _seam_check(left, right, rules, shift, base)
-        surface: dict[int, tuple[int, ...]] = {}  # of each kept merged token
-        for _, a, b, t in self.merges:
-            if (a < base or a in surface) and (b < base or b in surface) and fits(a, b, t):
-                left[t], right[t] = a, b
-                surface[t] = surface.get(a, (a,)) + surface.get(b, (b,))
-        trie: dict[int, int] = {}
-        shorter: dict[int, tuple[int, int]] = {}
-        fresh = -1
-        # Shortest surface first, so each walk from the left half's node
-        # meets every shorter kept prefix and ends on a new node.
-        for t in sorted(surface, key=lambda t: len(surface[t])):
-            node = a = left[t]
-            depth = len(surface.get(a, (a,)))
-            best = (a, depth)
-            *middle, last = surface.get(right[t], (right[t],))
-            for u in middle:
-                key = node << shift | u
-                node = trie.get(key)
-                if node is None:
-                    node = trie[key] = fresh
-                    fresh -= 1
-                depth += 1
-                if node >= 0:
-                    best = (node, depth)
-            trie[node << shift | last] = t
-            shorter[t] = best
-        return trie, shorter, fits, shift, self.vocab_size
+    def _encoder(self):
+        # codec's encoder for this table, built on the first encode so a
+        # table that only decodes never pays for it.
+        from .codec import _build_encoder  # codec imports this module
+
+        return _build_encoder(self)
 
     def token_surface(self, token_id: int) -> tuple[int, ...]:
         """Constituent base unit ids of a token, in order."""
@@ -214,40 +175,6 @@ class _Surfaces(dict):
                 stack += (m.right, m.left)
         surface = self[token_id] = tuple(units)
         return surface
-
-
-def _seam_check(
-    left: dict[int, int], right: dict[int, int], rules: dict[int, int], shift: int, base: int
-) -> Callable[[int, int, int], bool]:
-    """The seam check over kept tokens split by ``left`` and ``right``.
-
-    ``fits(t1, t2, limit)`` tells whether encoding the two surfaces together
-    reaches the pair ``(t1, t2)`` before any rule across the seam with a
-    result below ``limit`` fires. Each step undoes the merge made last: the
-    larger id, or the right one of two equal ids, because the leftmost
-    occurrence of a rule applies first. For that reason a seam rule equal to
-    a right-hand token still fires before it, and one equal to a left-hand
-    token does not. With ``limit`` the vocabulary size, it holds exactly
-    when the two surfaces encode to ``t1 t2``.
-    """
-    get = rules.get
-
-    def fits(t1: int, t2: int, limit: int) -> bool:
-        while True:
-            if get(t1 << shift | t2, limit) < limit:
-                return False
-            if t1 > t2:
-                if t1 < base:
-                    return True
-                limit = t1
-                t1 = right[t1]
-            else:
-                if t2 < base:
-                    return True
-                limit = t2 + 1
-                t2 = left[t2]
-
-    return fits
 
 
 def train(corpus: Corpus, options: TrainOptions, threads: int = 1) -> MergeTable:

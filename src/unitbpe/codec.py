@@ -9,7 +9,9 @@ such token at each position, falls back to shorter ones when the seam with
 the previous token fails, and backtracks when none fits (the backtracking
 encoder of GitHub's ``bpe`` crate). Because no rule involves the boundary
 or a special token, those units pass through untouched and merged tokens
-never span a word boundary.
+never span a word boundary. ``_build_encoder`` builds the index and the
+search over it; ``MergeTable._encoder`` caches them on the first encode, so
+a table that only decodes never builds them.
 
 Decoding concatenates token surfaces, which makes the round trip lossless
 by construction: each id is one lookup in the table's surface map, which
@@ -18,8 +20,9 @@ range-checks an id and builds its surface the first time it is seen.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bpe import MergeTable
 from .corpus import Corpus, Record, UnitSequence, parse_id_line, split_chunks
@@ -42,52 +45,122 @@ class TokenSequence(Record):
         return iter(self.tokens)
 
 
-def _encode_ids(ids: Sequence[int], index: tuple) -> list[int]:
-    # Backtracking search for the one tokenization into kept tokens whose
-    # every adjacent pair passes the seam check: the rank-order encoding.
-    # At each position it tries the longest kept token first, then each
-    # shorter kept prefix. The tokens before a position are always the one
-    # such tokenization of the text before it, so a position where no
-    # candidate is left is dead for good: it is marked, the previous token
-    # is popped and its shorter prefixes are tried.
-    trie, shorter, fits, shift, size = index
-    n = len(ids)
-    if n < 2 or not trie:
-        return list(ids)
-    get = trie.get
-    tokens: list[int] = []
-    starts: list[int] = []
-    dead = bytearray(n + 1)
-    pos = 0
-    prev = -1  # the last token, or -1 before the first
-    while pos < n:
-        t = node = ids[pos]
-        end = i = pos + 1
-        while i < n:
-            node = get(node << shift | ids[i])
-            if node is None:
-                break
-            i += 1
-            if node >= 0:
-                t, end = node, i
+def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
+    """The table's encoder, a function from base unit ids to token ids,
+    with its index over the kept tokens: those whose surface encodes to
+    themselves. Every base id is kept; a merged token is kept when both
+    halves are and their seam holds below it. The trie holds kept surfaces
+    only: it maps node << shift | unit to a child, which is a kept token or
+    a negative id for a prefix that is none, and each base id is its own
+    root. shorter maps each kept merged token to the longest kept proper
+    prefix, with its length. Nothing here is per base id.
+    """
+    base, size = table.base.size, table.vocab_size  # |Z|, the seam limit for two output tokens
+    rules, shift = table.packed_rules
+    rule = rules.get
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+
+    def fits(t1: int, t2: int, limit: int) -> bool:
+        """The seam check over kept tokens split by ``left`` and ``right``.
+
+        ``fits(t1, t2, limit)`` tells whether encoding the two surfaces
+        together reaches the pair ``(t1, t2)`` before any rule across the
+        seam with a result below ``limit`` fires. Each step undoes the merge
+        made last: the larger id, or the right one of two equal ids, because
+        the leftmost occurrence of a rule applies first. For that reason a
+        seam rule equal to a right-hand token still fires before it, and one
+        equal to a left-hand token does not. With ``limit`` the vocabulary
+        size, it holds exactly when the two surfaces encode to ``t1 t2``.
+        """
         while True:
-            if not dead[end] and (prev < 0 or fits(prev, t, size)):
-                tokens.append(t)
-                starts.append(pos)
-                prev = t
-                pos = end
-                break
-            prefix = shorter.get(t)
-            if prefix is not None:
-                t, k = prefix
-                end = pos + k
+            if rule(t1 << shift | t2, limit) < limit:
+                return False
+            if t1 > t2:
+                if t1 < base:
+                    return True
+                limit = t1
+                t1 = right[t1]
             else:
-                dead[pos] = 1
-                end = pos
-                t = tokens.pop()
-                pos = starts.pop()
-                prev = tokens[-1] if tokens else -1
-    return tokens
+                if t2 < base:
+                    return True
+                limit = t2 + 1
+                t2 = left[t2]
+
+    surface: dict[int, tuple[int, ...]] = {}  # of each kept merged token
+    for _, a, b, t in table.merges:
+        if (a < base or a in surface) and (b < base or b in surface) and fits(a, b, t):
+            left[t], right[t] = a, b
+            surface[t] = surface.get(a, (a,)) + surface.get(b, (b,))
+    trie: dict[int, int] = {}
+    shorter: dict[int, tuple[int, int]] = {}
+    fresh = -1
+    # Shortest surface first, so each walk from the left half's node
+    # meets every shorter kept prefix and ends on a new node.
+    for t in sorted(surface, key=lambda t: len(surface[t])):
+        node = a = left[t]
+        depth = len(surface.get(a, (a,)))
+        best = (a, depth)
+        *middle, last = surface.get(right[t], (right[t],))
+        for u in middle:
+            key = node << shift | u
+            node = trie.get(key)
+            if node is None:
+                node = trie[key] = fresh
+                fresh -= 1
+            depth += 1
+            if node >= 0:
+                best = (node, depth)
+        trie[node << shift | last] = t
+        shorter[t] = best
+
+    def encode_ids(ids: Sequence[int], get=trie.get, shift=shift, shorter=shorter, fits=fits, size=size):
+        # Backtracking search for the one tokenization into kept tokens whose
+        # every adjacent pair passes the seam check: the rank-order encoding.
+        # At each position it tries the longest kept token first, then each
+        # shorter kept prefix. The tokens before a position are always the one
+        # such tokenization of the text before it, so a position where no
+        # candidate is left is dead for good: it is marked, the previous token
+        # is popped and its shorter prefixes are tried. The index is bound as
+        # defaults, so the hot loop reads it from locals.
+        n = len(ids)
+        if n < 2 or not trie:
+            return list(ids)
+        tokens: list[int] = []
+        starts: list[int] = []
+        dead = bytearray(n + 1)
+        pos = 0
+        prev = -1  # the last token, or -1 before the first
+        while pos < n:
+            t = node = ids[pos]
+            end = i = pos + 1
+            while i < n:
+                node = get(node << shift | ids[i])
+                if node is None:
+                    break
+                i += 1
+                if node >= 0:
+                    t, end = node, i
+            while True:
+                if not dead[end] and (prev < 0 or fits(prev, t, size)):
+                    tokens.append(t)
+                    starts.append(pos)
+                    prev = t
+                    pos = end
+                    break
+                prefix = shorter.get(t)
+                if prefix is not None:
+                    t, k = prefix
+                    end = pos + k
+                else:
+                    dead[pos] = 1
+                    end = pos
+                    t = tokens.pop()
+                    pos = starts.pop()
+                    prev = tokens[-1] if tokens else -1
+        return tokens
+
+    return encode_ids
 
 
 def encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:
@@ -97,7 +170,7 @@ def encode(seq: UnitSequence, table: MergeTable) -> TokenSequence:
     if units and (min(units) < 0 or max(units) >= base_size):
         bad = next(u for u in units if not 0 <= u < base_size)
         raise ValidationError(f"unit id {bad} outside base vocabulary of size {base_size}")
-    return TokenSequence(tuple(_encode_ids(units, table._encoder_index)))
+    return TokenSequence(tuple(table._encoder(units)))
 
 
 def decode(tokens: TokenSequence, table: MergeTable) -> UnitSequence:
@@ -138,10 +211,10 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
         raise ValidationError("corpus vocabulary does not match the merge table's base vocabulary")
     if threads < 1:
         raise ContractError("threads must be at least 1")
-    index = table._encoder_index
+    encode_ids = table._encoder
     boundary = base.boundary
     if boundary is None:
-        encoded = [tuple(_encode_ids(s.units, index)) for s in corpus.sequences]
+        encoded = [tuple(encode_ids(s.units)) for s in corpus.sequences]
     else:
         memo: dict[tuple[int, ...], list[int]] = {}
         separator = {boundary}
@@ -151,7 +224,7 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
             for chunk in split_chunks(s.units, separator):
                 tokens = memo.get(chunk)
                 if tokens is None:
-                    tokens = memo[chunk] = _encode_ids(chunk, index)
+                    tokens = memo[chunk] = encode_ids(chunk)
                 out += tokens
                 out.append(boundary)
             out.pop()
@@ -164,10 +237,10 @@ def token_lines(
     sequences: Iterable[TokenSequence], table: MergeTable | None = None, surfaces: bool = False
 ) -> Iterator[str]:
     """Render token sequences, one per line: ids, or `+`-joined unit labels
-    per token when surfaces is set (requires the table)."""
+    per token when surfaces is set (requires the table), each built once."""
     if surfaces and table is None:
         raise ContractError("surface rendering requires a merge table")
-    label = table.token_label if surfaces else str
+    label = cache(table.token_label) if surfaces else str
     for seq in sequences:
         yield " ".join(map(label, seq.tokens))
 

@@ -428,11 +428,6 @@ def load_corpus(
     return read_corpus(read_lines(path), format, vocabulary, boundary_label, source=str(path))
 
 
-def corpus_lines(corpus: Corpus, format: str) -> Iterator[str]:
-    """Render corpus sequences back to file lines (without newlines)."""
-    return sequence_lines(corpus.sequences, corpus.vocabulary, format)
-
-
 def unit_label(vocabulary: BaseVocabulary, format: str) -> Callable[[int], str]:
     """The function that renders one unit id of ``vocabulary`` in ``format``."""
     if format not in FORMATS:
@@ -444,14 +439,11 @@ def unit_label(vocabulary: BaseVocabulary, format: str) -> Callable[[int], str]:
     return (vocabulary.labels + SPECIAL_LABELS).__getitem__
 
 
-def sequence_lines(
-    sequences: Iterable[UnitSequence], vocabulary: BaseVocabulary, format: str
-) -> Iterator[str]:
-    """Render unit sequences as corpus file lines (without newlines). Ids
-    are not checked here: the caller has checked them against the
-    vocabulary, as Corpus does."""
-    label = unit_label(vocabulary, format)
-    for seq in sequences:
+def corpus_lines(corpus: Corpus, format: str) -> Iterator[str]:
+    """Render corpus sequences back to file lines (without newlines). Ids
+    are not checked here: Corpus has checked them against the vocabulary."""
+    label = unit_label(corpus.vocabulary, format)
+    for seq in corpus.sequences:
         yield " ".join(map(label, seq.units))
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import unitbpe
 from unitbpe import (
+    Corpus,
     MergeTable,
     TokenSequence,
     UnitBpeError,
@@ -26,7 +27,7 @@ from unitbpe import (
     symbolic_vocabulary,
 )
 from unitbpe.cli import build_parser, main
-from unitbpe.corpus import FORMATS, parse_id_line, sequence_lines
+from unitbpe.corpus import FORMATS, corpus_lines, parse_id_line
 from tests.conftest import untrained_tables
 
 LAZY_MODULES = {"unitbpe.metrics", "unitbpe.oracle", "unitbpe.synth"}
@@ -270,7 +271,7 @@ def reference_decode(lines: list[str], table: MergeTable, fmt: str) -> tuple[int
                 raise ValidationError(f"line {lineno}: token id {bad[0]} is a reserved special token")
         except UnitBpeError as exc:
             return 1, "", f"unitbpe: error: {exc}\n"
-    return 0, "".join(line + "\n" for line in sequence_lines(sequences, table.base, fmt)), ""
+    return 0, "".join(line + "\n" for line in corpus_lines(Corpus(table.base, tuple(sequences)), fmt)), ""
 
 
 class TestDecodeMatchesReference:

@@ -186,6 +186,14 @@ class TestTokenLines:
         lines = list(token_lines([TokenSequence((6, 2))], table, surfaces=True))
         assert lines == ["a+b c"]
 
+    def test_surface_rendering_labels_each_distinct_token_once(self, monkeypatch):
+        table, calls = table_ab(), []
+        label = MergeTable.token_label
+        monkeypatch.setattr(MergeTable, "token_label", lambda self, t: calls.append(t) or label(self, t))
+        seqs = [TokenSequence((6, 2, 6, 0)), TokenSequence((2, 6))]
+        assert list(token_lines(seqs, table, surfaces=True)) == ["a+b c a+b a", "c a+b"]
+        assert sorted(calls) == [0, 2, 6]
+
     def test_surface_rendering_requires_table(self):
         with pytest.raises(ContractError):
             list(token_lines([TokenSequence(())], None, surfaces=True))

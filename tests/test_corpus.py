@@ -30,7 +30,7 @@ from unitbpe import (
 )
 from unitbpe.bpe import header_boundary_label
 from unitbpe.codec import read_token_lines
-from unitbpe.corpus import SPECIAL_LABELS, decode_lines, sequence_lines
+from unitbpe.corpus import SPECIAL_LABELS, corpus_lines, decode_lines
 from unitbpe.errors import ContractError, UnitBpeError
 
 
@@ -193,10 +193,10 @@ class TestUnlabelledVocabulary:
         else:
             corpus = read_corpus(lines, "symbolic", vocab)
             assert [s.units for s in corpus.sequences] == [tuple(table[t] for t in row) for row in rows]
-            assert list(sequence_lines(corpus.sequences, vocab, "symbolic")) == lines
+            assert list(corpus_lines(corpus, "symbolic")) == lines
 
         ids = [table[t] for row in rows for t in row if t in table]
-        assert list(sequence_lines([UnitSequence(tuple(ids))], vocab, "symbolic")) == [
+        assert list(corpus_lines(Corpus(vocab, (UnitSequence(tuple(ids)),)), "symbolic")) == [
             " ".join(surfaces[i] for i in ids)
         ]
 
@@ -368,7 +368,7 @@ class TestErrors:
              "label must be one token without whitespace, got 'a b'"),
             (lambda _: symbolic_vocabulary(["a", "b"], boundary_label=" "), ValidationError,
              "label must be one token without whitespace, got ' '"),
-            (lambda _: list(sequence_lines([], dau_vocabulary(2), "csv")), ContractError,
+            (lambda _: list(corpus_lines(Corpus(dau_vocabulary(2), ()), "csv")), ContractError,
              "unknown corpus format 'csv'"),
         ],
         ids=[

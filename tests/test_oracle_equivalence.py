@@ -271,6 +271,6 @@ class TestBacktrackingEncoder:
         table = train(corpus, TrainOptions(corpus.vocabulary.size + 3))
         back = decode(TokenSequence((table.vocab_size - 1, 0)), table)
         assert back.units == (*table.token_surface(table.vocab_size - 1), 0)
-        assert "_encoder_index" not in vars(table)
+        assert "_encoder" not in vars(table)
         encode(corpus.sequences[0], table)
-        assert "_encoder_index" in vars(table)
+        assert "_encoder" in vars(table)

@@ -131,6 +131,6 @@ def test_pickle_and_copy_round_trip(name):
 def test_pickled_table_rebuilds_its_cached_indexes():
     table = unitbpe.MergeTable(VOCAB, (Merge(0, 0, 1, 5),))
     tokens = encode(UnitSequence((0, 1, 0)), table)
-    back = pickle.loads(pickle.dumps(table))
-    assert "_encoder_index" not in vars(back) and "_expansions" not in vars(back)
-    assert encode(UnitSequence((0, 1, 0)), back) == tokens
+    for back in (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)):
+        assert "_encoder" not in vars(back) and "_expansions" not in vars(back)
+        assert encode(UnitSequence((0, 1, 0)), back) == tokens
