@@ -11,8 +11,8 @@ randomness; generators require an explicit --seed.
 The analysis, reference and generator modules are imported inside the
 subcommands that use them, and json only under --json, so train, encode
 and decode start without them. The package's records are plain classes rather than
-dataclasses, so no subcommand imports ``dataclasses`` (or the ``inspect``
-it pulls in) or builds methods with ``exec`` as it starts.
+dataclasses, so ``import unitbpe.cli`` loads neither ``dataclasses`` nor
+the ``inspect`` it pulls in.
 """
 
 from __future__ import annotations

@@ -124,8 +124,6 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
         # is popped and its shorter prefixes are tried. The index is bound as
         # defaults, so the hot loop reads it from locals.
         n = len(ids)
-        if n < 2 or not trie:
-            return list(ids)
         tokens: list[int] = []
         starts: list[int] = []
         dead = bytearray(n + 1)
@@ -203,9 +201,10 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
 
     The corpus must have the table's units: its vocabulary's size and
     labels. Its boundary may differ, since the table's is the one that
-    applies. When the table has a boundary, each sequence is split at it
-    and every distinct chunk is encoded once: no rule involves the boundary,
-    so a chunk's tokens do not depend on its neighbours."""
+    applies. Each sequence is split at the table's boundary and every
+    distinct chunk is encoded once: no rule involves the boundary, so a
+    chunk's tokens do not depend on its neighbours. A table without a
+    boundary makes each whole sequence one chunk."""
     vocab, base = corpus.vocabulary, table.base
     if (vocab.size, vocab.labels) != (base.size, base.labels):
         raise ValidationError("corpus vocabulary does not match the merge table's base vocabulary")
@@ -213,24 +212,22 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
         raise ContractError("threads must be at least 1")
     encode_ids = table._encoder
     boundary = base.boundary
-    if boundary is None:
-        encoded = [tuple(encode_ids(s.units)) for s in corpus.sequences]
-    else:
-        memo: dict[tuple[int, ...], list[int]] = {}
-        separator = {boundary}
-        encoded = []
-        for s in corpus.sequences:
-            out: list[int] = []
-            for chunk in split_chunks(s.units, separator):
-                tokens = memo.get(chunk)
-                if tokens is None:
-                    tokens = memo[chunk] = encode_ids(chunk)
-                out += tokens
-                out.append(boundary)
-            out.pop()
-            encoded.append(tuple(out))
-    total_tokens = sum(len(t) for t in encoded)
-    return EncodedCorpus(tuple(TokenSequence(t) for t in encoded), corpus.total_units, total_tokens)
+    blocked = set() if boundary is None else {boundary}
+    memo: dict[tuple[int, ...], list[int]] = {}
+    sequences = []
+    total_tokens = 0
+    for s in corpus.sequences:
+        out: list[int] = []
+        for chunk in split_chunks(s.units, blocked):
+            tokens = memo.get(chunk)
+            if tokens is None:
+                tokens = memo[chunk] = encode_ids(chunk)
+            out += tokens
+            out.append(boundary)
+        out.pop()
+        total_tokens += len(out)
+        sequences.append(TokenSequence(tuple(out)))
+    return EncodedCorpus(tuple(sequences), corpus.total_units, total_tokens)
 
 
 def token_lines(

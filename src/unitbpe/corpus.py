@@ -455,7 +455,7 @@ def save_corpus(corpus: Corpus, dest: str | Path | IO[str], format: str) -> None
 def split_chunks(units: tuple[int, ...], blocked: AbstractSet[int]) -> Iterator[tuple[int, ...]]:
     """The runs of units between blocked ids, in order, empty runs included:
     a sequence with n blocked units yields n + 1 chunks."""
-    if blocked.isdisjoint(units):
+    if not blocked or blocked.isdisjoint(units):
         yield units
         return
     start = 0

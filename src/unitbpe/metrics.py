@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import groupby
+from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
 from .bpe import MergeTable
@@ -130,20 +132,9 @@ def run_length_stats(seq: UnitSequence | Sequence[int]) -> RunLengthStats:
     units = tuple(seq)
     if not units:
         return RunLengthStats((), None, None, None)
-    runs: list[tuple[int, int]] = []
-    current = units[0]
-    length = 1
-    for uid in units[1:]:
-        if uid == current:
-            length += 1
-        else:
-            runs.append((current, length))
-            current, length = uid, 1
-    runs.append((current, length))
+    runs = tuple((uid, len(list(run))) for uid, run in groupby(units))
     n = len(units)
-    return RunLengthStats(
-        tuple(runs), n / len(runs), max(r[1] for r in runs), (n - len(runs)) / n
-    )
+    return RunLengthStats(runs, n / len(runs), max(r[1] for r in runs), (n - len(runs)) / n)
 
 
 def corpus_run_length_mean(sequences: Iterable[Sequence[int]]) -> float | None:
@@ -156,7 +147,7 @@ def corpus_run_length_mean(sequences: Iterable[Sequence[int]]) -> float | None:
         if not units:
             continue
         total_units += len(units)
-        total_runs += 1 + sum(1 for a, b in zip(units, units[1:]) if a != b)
+        total_runs += 1 + sum(map(ne, units, units[1:]))
     if total_runs == 0:
         return None
     return total_units / total_runs

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 
 from .corpus import Corpus, Record, UnitSequence, dau_vocabulary
 from .errors import ContractError
@@ -49,12 +50,7 @@ class SplitMix64:
 
 def _zipf_cumulative(vocab_size: int, exponent: float) -> list[float]:
     # Weight of id i is (i+1)^-exponent; cumulative sums for bisection.
-    cum = []
-    total = 0.0
-    for rank in range(1, vocab_size + 1):
-        total += rank**-exponent
-        cum.append(total)
-    return cum
+    return list(accumulate(rank**-exponent for rank in range(1, vocab_size + 1)))
 
 
 class ZipfSpec(Record):

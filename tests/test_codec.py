@@ -19,6 +19,7 @@ from unitbpe import (
     decode,
     encode,
     encode_corpus,
+    naive_encode,
     read_corpus,
     split_on_boundaries,
     symbolic_vocabulary,
@@ -139,6 +140,31 @@ class TestEncodeCorpus:
         baseline = encode_corpus(corpus, table, threads=1)
         for t in (2, 8):
             assert encode_corpus(corpus, table, threads=t).sequences == baseline.sequences
+
+    @pytest.mark.parametrize("boundary_label", [None, "_"])
+    def test_each_distinct_chunk_is_encoded_once(self, boundary_label):
+        # One loop serves every table: without a boundary a chunk is a whole
+        # sequence, so repeated sequences are encoded once too.
+        vocab = symbolic_vocabulary(["a", "b", "c"], boundary_label=boundary_label)
+        lines = ["a b a b c", "c a b a b"] if boundary_label is None else ["a b _ a b c _ a b", "c _ a b"]
+        corpus = read_corpus([*lines, *lines, "", "c"], "symbolic", vocab)
+        table = train(corpus, TrainOptions(target_size=vocab.size + 3))
+        encoder, calls = table._encoder, []
+
+        def counting(ids):
+            calls.append(ids)
+            return encoder(ids)
+
+        table.__dict__["_encoder"] = counting
+        encoded = encode_corpus(corpus, table)
+        expected = [naive_encode(seq, table).tokens for seq in corpus.sequences]
+        assert [seq.tokens for seq in encoded.sequences] == expected
+        assert encoded.total_tokens == sum(map(len, expected))
+        if boundary_label is None:
+            chunks = {seq.units for seq in corpus.sequences}
+        else:
+            chunks = {c.units for seq in corpus.sequences for c in split_on_boundaries(seq, vocab)}
+        assert sorted(calls) == sorted(chunks)
 
     def test_token_count_never_exceeds_unit_count(self):
         rng = random.Random(13)

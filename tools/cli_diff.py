@@ -77,6 +77,9 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("encode-no-boundary", "encode --input s.txt --format symbolic --vocab n.vocab --merges n.bpe", None),
     ("encode-no-boundary-oracle",
      "encode --input s.txt --format symbolic --vocab n.vocab --merges n.bpe --oracle", None),
+    # repeated lines, an empty one and a one-unit one through a boundary-free table
+    ("encode-repeated", "encode --input repeated.txt --merges z.bpe", None),
+    ("encode-repeated-oracle", "encode --input repeated.txt --merges z.bpe --oracle", None),
     # decode
     ("decode", "decode --input z.tok --merges z.bpe --out back.txt", None),
     ("decode-stdin", "decode --input - --merges z.bpe", "z.tok"),
@@ -155,6 +158,7 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
 # Files the cases read that are written directly rather than generated.
 FIXED = {
     "c.txt": b"0 1 0 1 2\n2 0 1 0 1\n0 1 2 2\n",
+    "repeated.txt": b"0 1 0 1 2 0 1 3\n4 0 1 2 0 0 1\n0 1 0 1 2 0 1 3\n4 0 1 2 0 0 1\n\n5\n",
     "h.txt": b"HH AH0 _ HH AH0\n",
     "short.txt": b"1 2 1 2 1 2\n",
     "pair.txt": b"1 2\n",
