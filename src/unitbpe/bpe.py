@@ -85,7 +85,7 @@ class MergeTable(Record):
     boundary and special units out of merged tokens, so token surfaces
     never mix the boundary with other units. The same walk builds
     ``packed_rules``: ``((left << shift) | right -> result, shift)``.
-    Decoding stores the surfaces of the ids it looks up only.
+    Its surface map holds only the ids that decode or the encoder looked up.
     """
 
     _fields = ("base", "merges")
@@ -145,9 +145,10 @@ class _Surfaces(dict):
     """Token id -> its surface as base unit ids, filled on first lookup.
 
     A miss range-checks the id, then walks the rules depth first from it,
-    taking whole any surface already stored. Only the looked-up id is
-    stored, so the map holds the surfaces asked for: never every merged
-    token's, and nothing per base id.
+    taking whole any surface already stored, and copying the left half of
+    a rule with two equal halves once written, so a doubling costs one
+    copy. Only the looked-up id is stored, so the map holds the surfaces
+    asked for: never every merged token's, and nothing per base id.
     """
 
     __slots__ = ("merges", "base", "size")
@@ -168,11 +169,13 @@ class _Surfaces(dict):
             known = get(t)
             if known is not None:
                 units += known
+            elif t < 0:  # the left half written from ~t on is the right half too
+                units += units[~t:]
             elif t < base:
                 units.append(t)
             else:
                 m = merges[t - base]
-                stack += (m.right, m.left)
+                stack += (~len(units), m.left) if m.left == m.right else (m.right, m.left)
         surface = self[token_id] = tuple(units)
         return surface
 
@@ -338,13 +341,14 @@ def header_boundary_label(rows: Sequence[str]) -> str | None:
 def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = None) -> MergeTable:
     """Build a MergeTable from merge-file lines, validating every invariant.
 
-    The rows are parsed with one ``int`` pass over all their fields; only a
-    file with a malformed row is walked row by row, to name the first one.
-    When no vocabulary is supplied a boundary-free table gets the unlabelled
-    one of its base size (numeric labels plus the standard specials);
-    tables that record a boundary label need the real vocabulary. The
-    table's base takes line 3's boundary, whatever the given vocabulary's
-    is, so a table reads back equal to the one saved.
+    The rows are read in one walk, which names the first malformed row as
+    it meets it; the rules are checked once every row has parsed, and a
+    broken rule names its line. When no vocabulary is supplied a
+    boundary-free table gets the unlabelled one of its base size (numeric
+    labels plus the standard specials); tables that record a boundary label
+    need the real vocabulary. The table's base takes line 3's boundary,
+    whatever the given vocabulary's is, so a table reads back equal to the
+    one saved.
     """
     rows = [ln.rstrip("\n").rstrip("\r") for ln in lines]
     if not rows or rows[0] != MERGE_FILE_MAGIC:
@@ -373,32 +377,22 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
     if boundary != vocabulary.boundary:
         vocabulary = BaseVocabulary(base_size, vocabulary.labels, boundary)
 
-    fields = list(map(str.split, rows[3:]))
-    if set(map(len, fields)) <= {4}:
-        try:
-            nums = list(map(int, chain.from_iterable(fields)))
-        except ValueError:
-            pass  # the loop below names the row
-        else:
-            columns = zip(nums[0::4], nums[1::4], nums[2::4], nums[3::4])
-            try:
-                return MergeTable(vocabulary, tuple(map(Merge._make, columns)))
-            except ValidationError as err:
-                if err.rule is None:
-                    raise
-                # Rule i is on line i + 4.
-                raise ValidationError(f"line {err.rule + 4}: {err}", rule=err.rule) from None
-    # Some row has other than 4 fields, or a field that int rejects.
-    for lineno, (row, cols) in enumerate(zip(rows[3:], fields), start=4):
-        if not cols:
-            raise ParseError("blank merge row", line=lineno)
+    merges = []
+    for lineno, row in enumerate(rows[3:], start=4):
+        cols = row.split()
         if len(cols) != 4:
-            raise ParseError(f"expected 4 fields, got {len(cols)}", line=lineno)
+            raise ParseError(f"expected 4 fields, got {len(cols)}" if cols else "blank merge row", line=lineno)
         try:
-            list(map(int, cols))
+            merges.append(Merge._make(map(int, cols)))
         except ValueError:
             raise ParseError(f"non-integer field in merge row {row!r}", line=lineno) from None
-    raise AssertionError("unreachable: every row parsed")
+    try:
+        return MergeTable(vocabulary, tuple(merges))
+    except ValidationError as err:
+        if err.rule is None:
+            raise
+        # Rule i is on line i + 4.
+        raise ValidationError(f"line {err.rule + 4}: {err}", rule=err.rule) from None
 
 
 def load_merge_table(path: str | Path, vocabulary: BaseVocabulary | None = None) -> MergeTable:

@@ -269,7 +269,10 @@ def _cmd_decode(args) -> int:
                 _token_ids(line, lineno, table)  # raises the fault first in the line
                 raise
             for text, token_id in zip(new, ids):
-                rendered[text] = " ".join(map(label, surface(token_id)))
+                try:
+                    rendered[text] = " ".join(map(label, surface(token_id)))
+                except MemoryError:
+                    raise ValidationError(f"line {lineno}: token id {token_id} is too long to decode") from None
             lines.append(" ".join(map(rendered.__getitem__, texts)))
     write_lines(_out(args.out), lines)
     return 0

@@ -9,9 +9,10 @@ such token at each position, falls back to shorter ones when the seam with
 the previous token fails, and backtracks when none fits (the backtracking
 encoder of GitHub's ``bpe`` crate). Because no rule involves the boundary
 or a special token, those units pass through untouched and merged tokens
-never span a word boundary. ``_build_encoder`` builds the index and the
-search over it; ``MergeTable._encoder`` caches them on the first encode, so
-a table that only decodes never builds them.
+never span a word boundary. ``_build_encoder`` builds the index, which
+grows to the longest input encoded so far, and the search over it;
+``MergeTable._encoder`` caches them on the first encode, so a table that
+only decodes never builds them.
 
 Decoding concatenates token surfaces, which makes the round trip lossless
 by construction: each id is one lookup in the table's surface map, which
@@ -49,11 +50,13 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
     """The table's encoder, a function from base unit ids to token ids,
     with its index over the kept tokens: those whose surface encodes to
     themselves. Every base id is kept; a merged token is kept when both
-    halves are and their seam holds below it. The trie holds kept surfaces
-    only: it maps node << shift | unit to a child, which is a kept token or
-    a negative id for a prefix that is none, and each base id is its own
-    root. shorter maps each kept merged token to the longest kept proper
-    prefix, with its length. Nothing here is per base id.
+    halves are and their seam holds below it, and its length is theirs
+    summed. The trie holds kept surfaces only: it maps node << shift | unit
+    to a child, which is a kept token or a negative id for a prefix that is
+    none, and each base id is its own root. shorter maps each indexed token
+    to the longest kept proper prefix, with its length. A call on n units
+    first indexes the kept tokens of at most n units, reading a right
+    half's units from the table's surface map. Nothing here is per base id.
     """
     base, size = table.base.size, table.vocab_size  # |Z|, the seam limit for two output tokens
     rules, shift = table.packed_rules
@@ -87,34 +90,36 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
                 limit = t2 + 1
                 t2 = left[t2]
 
-    surface: dict[int, tuple[int, ...]] = {}  # of each kept merged token
+    length: dict[int, int] = {}  # of each kept merged token's surface
     for _, a, b, t in table.merges:
-        if (a < base or a in surface) and (b < base or b in surface) and fits(a, b, t):
+        if (a < base or a in length) and (b < base or b in length) and fits(a, b, t):
             left[t], right[t] = a, b
-            surface[t] = surface.get(a, (a,)) + surface.get(b, (b,))
+            length[t] = length.get(a, 1) + length.get(b, 1)
     trie: dict[int, int] = {}
     shorter: dict[int, tuple[int, int]] = {}
-    fresh = -1
-    # Shortest surface first, so each walk from the left half's node
-    # meets every shorter kept prefix and ends on a new node.
-    for t in sorted(surface, key=lambda t: len(surface[t])):
-        node = a = left[t]
-        depth = len(surface.get(a, (a,)))
-        best = (a, depth)
-        *middle, last = surface.get(right[t], (right[t],))
-        for u in middle:
-            key = node << shift | u
-            node = trie.get(key)
-            if node is None:
-                node = trie[key] = fresh
-                fresh -= 1
-            depth += 1
-            if node >= 0:
-                best = (node, depth)
-        trie[node << shift | last] = t
-        shorter[t] = best
+    # Kept tokens not yet in the trie, longest first, so each pop is a
+    # shortest one and its walk meets every shorter kept prefix. A new prefix
+    # node's id, ~len(trie), is one no node has, since the trie only grows.
+    pending = sorted(length, key=length.__getitem__, reverse=True)
 
     def encode_ids(ids: Sequence[int], get=trie.get, shift=shift, shorter=shorter, fits=fits, size=size):
+        n = len(ids)
+        while pending and length[pending[-1]] <= n:  # no longer token can match
+            t = pending.pop()
+            node = a = left[t]
+            depth = length.get(a, 1)
+            best = (a, depth)
+            *middle, last = table._expansions[right[t]]
+            for u in middle:
+                key = node << shift | u
+                node = get(key)
+                if node is None:
+                    node = trie[key] = ~len(trie)
+                depth += 1
+                if node >= 0:
+                    best = (node, depth)
+            trie[node << shift | last] = t
+            shorter[t] = best
         # Backtracking search for the one tokenization into kept tokens whose
         # every adjacent pair passes the seam check: the rank-order encoding.
         # At each position it tries the longest kept token first, then each
@@ -123,7 +128,6 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
         # candidate is left is dead for good: it is marked, the previous token
         # is popped and its shorter prefixes are tried. The index is bound as
         # defaults, so the hot loop reads it from locals.
-        n = len(ids)
         tokens: list[int] = []
         starts: list[int] = []
         dead = bytearray(n + 1)
@@ -213,7 +217,7 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
     encode_ids = table._encoder
     boundary = base.boundary
     blocked = set() if boundary is None else {boundary}
-    memo: dict[tuple[int, ...], list[int]] = {}
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
     sequences = []
     total_tokens = 0
     for s in corpus.sequences:
@@ -221,12 +225,14 @@ def encode_corpus(corpus: Corpus, table: MergeTable, threads: int = 1) -> Encode
         for chunk in split_chunks(s.units, blocked):
             tokens = memo.get(chunk)
             if tokens is None:
-                tokens = memo[chunk] = encode_ids(chunk)
+                tokens = memo[chunk] = tuple(encode_ids(chunk))
             out += tokens
             out.append(boundary)
         out.pop()
-        total_tokens += len(out)
-        sequences.append(TokenSequence(tuple(out)))
+        # A sequence of one chunk, with no boundary in out, holds the memo's tuple.
+        tokens = tokens if len(out) == len(tokens) else tuple(out)
+        total_tokens += len(tokens)
+        sequences.append(TokenSequence(tokens))
     return EncodedCorpus(tuple(sequences), corpus.total_units, total_tokens)
 
 

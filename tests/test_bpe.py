@@ -378,6 +378,14 @@ class TestMergeFileErrors:
             parse_merge_table(lines, letters("a", "b", "c", boundary="_"))
         assert str(err.value) == "line 5: non-integer field in merge row '1 7 x 8'"
 
+    def test_a_parse_fault_comes_before_an_earlier_rule_fault(self):
+        # Line 5 breaks a rule and line 7 does not parse: the parse fault is named.
+        lines = [*_VALID_FILE[:4], "1 0 1 8", "2 8 0 9", "3 9 y 10"]
+        with pytest.raises(ParseError) as err:
+            parse_merge_table(lines, letters("a", "b", "c", boundary="_"))
+        assert str(err.value) == "line 7: non-integer field in merge row '3 9 y 10'"
+        assert err.value.line == 7
+
 
 class TestErrors:
     @pytest.mark.parametrize(

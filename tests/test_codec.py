@@ -166,6 +166,13 @@ class TestEncodeCorpus:
             chunks = {c.units for seq in corpus.sequences for c in split_on_boundaries(seq, vocab)}
         assert sorted(calls) == sorted(chunks)
 
+    def test_a_one_chunk_sequence_holds_the_memos_tuple(self):
+        table = table_ab()
+        corpus = Corpus(table.base, (UnitSequence((0, 1, 0, 1, 2)),) * 2)
+        encoded = encode_corpus(corpus, table)
+        assert encoded.sequences[0].tokens == (table.vocab_size - 1,) * 2 + (2,)
+        assert encoded.sequences[0].tokens is encoded.sequences[1].tokens
+
     def test_token_count_never_exceeds_unit_count(self):
         rng = random.Random(13)
         for _ in range(10):

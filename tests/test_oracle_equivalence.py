@@ -266,6 +266,20 @@ class TestBacktrackingEncoder:
         assert [encode(seq, table) for seq in corpus.sequences] == expected
         assert list(encode_corpus(corpus, table).sequences) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(untrained_tables(max_content=3, max_merges=24), st.data())
+    def test_index_grows_with_a_longer_corpus(self, table, data):
+        # The index holds the kept tokens no longer than the longest input so
+        # far, so the second, longer corpus grows the trie the first one made.
+        tokens = st.lists(st.integers(0, table.vocab_size - 1), max_size=10)
+        surfaces = tokens.map(lambda ts: tuple(u for t in ts for u in table.token_surface(t)))
+        drawn = data.draw(st.lists(surfaces, min_size=2, max_size=8))
+        short = data.draw(st.integers(0, max(map(len, drawn))))
+        for corpus in ([s for s in drawn if len(s) <= short], drawn):
+            corpus = Corpus(table.base, tuple(map(UnitSequence, corpus)))
+            expected = [naive_encode(seq, table) for seq in corpus.sequences]
+            assert list(encode_corpus(corpus, table).sequences) == expected
+
     def test_decode_builds_no_encoder_index(self):
         corpus = read_corpus(["0 1 0 1 2", "1 2 1 2"], "dau-int")
         table = train(corpus, TrainOptions(corpus.vocabulary.size + 3))

@@ -104,11 +104,38 @@ def test_decode_stores_only_the_surfaces_it_reads(tmp_path, tokens, out):
     ids=["non-integer", "past-end", "special"],
 )
 def test_decode_names_a_fault_before_it_builds_a_surface(tmp_path, tokens, fault):
-    # Token 43 spells 2^41 units: the line's fault must be found first.
+    # Token 43 spells 2^40 units: the line's fault must be found first.
     (tmp_path / "doubling.bpe").write_text(DOUBLING, encoding="utf-8")
     (tmp_path / "t.txt").write_text(tokens, encoding="utf-8")
     proc = run_limited(tmp_path, "-m", "unitbpe", "decode", "--input", "t.txt", "--merges", "doubling.bpe")
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"unitbpe: error: line 1: {fault}\n")
+
+
+def test_decode_of_a_token_too_long_for_memory_names_its_line(tmp_path):
+    (tmp_path / "doubling.bpe").write_text(DOUBLING, encoding="utf-8")
+    (tmp_path / "t.txt").write_text("0 13\n43\n", encoding="utf-8")
+    proc = run_limited(tmp_path, "-m", "unitbpe", "decode", "--input", "t.txt", "--merges", "doubling.bpe")
+    fault = "unitbpe: error: line 2: token id 43 is too long to decode\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", fault)
+
+
+@pytest.mark.parametrize("length", [3, 5000])
+@pytest.mark.parametrize("command", ["encode", "analyze"])
+def test_encoder_index_holds_only_tokens_its_input_can_hold(tmp_path, command, length):
+    # Every doubling token is kept; the index holds those no longer than the
+    # input, so its size follows the input, not the surfaces the table spells.
+    (tmp_path / "doubling.bpe").write_text(DOUBLING, encoding="utf-8")
+    (tmp_path / "zeros.txt").write_text(" ".join(["0"] * length) + "\n", encoding="utf-8")
+    argv = ["-m", "unitbpe", command, "--input", "zeros.txt", "--merges", "doubling.bpe"]
+    proc = run_limited(tmp_path, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    oracle = run_limited(tmp_path, "-m", "unitbpe", "encode", *argv[3:], "--oracle")
+    assert oracle.stdout == {3: "4 0\n", 5000: "15 12 11 10 6\n"}[length]
+    if command == "encode":
+        assert proc.stdout == oracle.stdout
+    else:
+        k_hat = len(oracle.stdout.split())
+        assert proc.stdout.startswith(f"n_hat {length}.0\nk_hat {k_hat}.0\n")
 
 
 @pytest.mark.parametrize("n", [2**63 - 4, 2**63, 2**64], ids=["2^63-4", "2^63", "2^64"])

@@ -77,6 +77,8 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("encode-no-boundary", "encode --input s.txt --format symbolic --vocab n.vocab --merges n.bpe", None),
     ("encode-no-boundary-oracle",
      "encode --input s.txt --format symbolic --vocab n.vocab --merges n.bpe --oracle", None),
+    # a 464-byte table whose 40 tokens spell 2^41 units together
+    ("encode-doubling", "encode --input zeros.txt --merges doubling.bpe", None),
     # repeated lines, an empty one and a one-unit one through a boundary-free table
     ("encode-repeated", "encode --input repeated.txt --merges z.bpe", None),
     ("encode-repeated-oracle", "encode --input repeated.txt --merges z.bpe --oracle", None),
@@ -97,6 +99,7 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("analyze-out", "analyze --input z.txt --merges z.bpe --out r.txt", None),
     ("analyze-json-out", "analyze --input z.txt --merges z.bpe --json --out r.json", None),
     ("analyze-symbolic", "analyze --input s.txt --format symbolic --vocab s.vocab --merges s.bpe --json", None),
+    ("analyze-doubling", "analyze --input zeros.txt --merges doubling.bpe", None),
     ("tradeoff", "tradeoff --eps 0.00097 0.0014 --n 300 872", None),
     ("tradeoff-json", "tradeoff --eps 0.1 0.2 --n 1 2 --json", None),
     ("tradeoff-out", "tradeoff --eps 0.01 --n 50 --out r.txt", None),
@@ -153,6 +156,7 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("error-decode-special-dau", "decode --input - --merges t.bpe", "special.tok"),
     ("error-decode-special-symbolic", "decode --input - --format symbolic --vocab h.vocab --merges h.bpe",
      "special.tok"),
+    ("error-decode-doubling-huge", "decode --input - --merges doubling.bpe", "huge.tok"),
 )
 
 # Files the cases read that are written directly rather than generated.
@@ -183,6 +187,11 @@ FIXED = {
     "plus-sign.tok": b"0 1\n1 +4 99\n",
     "leading-zero.tok": b"0 1\n01 4 3\n",
     "special.tok": b"0 1\n0 5\n",
+    # Token 4 + k spells 2^(k + 1) copies of unit 0.
+    "doubling.bpe": b"unitbpe-v1\n4\n\n0 0 0 4\n"
+    + b"".join(b"%d %d %d %d\n" % (r, r + 3, r + 3, r + 4) for r in range(1, 40)),
+    "zeros.txt": b"0 0 0\n",
+    "huge.tok": b"43\n",
 }
 
 # CLI runs, against this tree, that write the tables, sidecars and token
