@@ -95,6 +95,7 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
         if (a < base or a in length) and (b < base or b in length) and fits(a, b, t):
             left[t], right[t] = a, b
             length[t] = length.get(a, 1) + length.get(b, 1)
+    surfaces = table._expansions  # bound here, so the encoder the table caches holds no cycle
     trie: dict[int, int] = {}
     shorter: dict[int, tuple[int, int]] = {}
     # Kept tokens not yet in the trie, longest first, so each pop is a
@@ -109,7 +110,7 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
             node = a = left[t]
             depth = length.get(a, 1)
             best = (a, depth)
-            *middle, last = table._expansions[right[t]]
+            *middle, last = surfaces[right[t]]
             for u in middle:
                 key = node << shift | u
                 node = get(key)
