@@ -35,7 +35,7 @@ from operator import index
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
-from .corpus import BaseVocabulary, Corpus, Record, read_lines, split_chunks, write_lines
+from .corpus import BaseVocabulary, Corpus, Record, read_lines, split_chunks, symbolic_vocabulary, write_lines
 from .errors import ContractError, ParseError, ValidationError
 
 MERGE_FILE_MAGIC = "unitbpe-v1"
@@ -331,13 +331,6 @@ def save_merge_table(table: MergeTable, dest: str | Path | IO[str]) -> None:
     write_lines(dest, chain(header, (f"{m.rank} {m.left} {m.right} {m.result}" for m in table.merges)))
 
 
-def header_boundary_label(rows: Sequence[str]) -> str | None:
-    """Line 3 of merge-file rows, or None if it is blank or the header is bad."""
-    if len(rows) < 3 or rows[0] != MERGE_FILE_MAGIC:
-        return None
-    return rows[2].strip() or None
-
-
 def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = None) -> MergeTable:
     """Build a MergeTable from merge-file lines, validating every invariant.
 
@@ -348,7 +341,10 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
     labels plus the standard specials); tables that record a boundary label
     need the real vocabulary. The table's base takes line 3's boundary,
     whatever the given vocabulary's is, so a table reads back equal to the
-    one saved.
+    one saved. The label is looked up in the vocabulary as given; one it
+    lacks is appended last if the vocabulary is one unit short, as
+    ``train --vocab`` appends it to a sidecar without it, and is otherwise
+    a ValidationError naming line 3.
     """
     rows = [ln.rstrip("\n").rstrip("\r") for ln in lines]
     if not rows or rows[0] != MERGE_FILE_MAGIC:
@@ -361,19 +357,21 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
         raise ParseError(f"base vocabulary size must be an integer, got {rows[1]!r}", line=2) from None
     if base_size < 0:
         raise ParseError("base vocabulary size must be non-negative", line=2)
-    boundary_label = header_boundary_label(rows)
+    label = rows[2].strip() or None
 
     if vocabulary is None:
-        if boundary_label is not None:
+        if label is not None:
             raise ValidationError(
-                f"table records boundary label {boundary_label!r}; a vocabulary is required to resolve it"
+                f"table records boundary label {label!r}; a vocabulary is required to resolve it"
             )
         vocabulary = BaseVocabulary(base_size)
-    elif vocabulary.size != base_size:
-        raise ValidationError(
-            f"vocabulary size {vocabulary.size} does not match recorded base size {base_size}"
-        )
-    boundary = None if boundary_label is None else vocabulary.id_of(boundary_label)
+    elif label is not None and label not in vocabulary._lookup((label,)):
+        if vocabulary.size != base_size - 1 or len(label.split()) != 1:
+            raise ValidationError(f"line 3: unknown label {label!r}")
+        vocabulary = symbolic_vocabulary(map(vocabulary.surface, vocabulary.content_ids()), label)
+    if vocabulary.size != base_size:
+        raise ValidationError(f"vocabulary size {vocabulary.size} does not match recorded base size {base_size}")
+    boundary = None if label is None else vocabulary.id_of(label)
     if boundary != vocabulary.boundary:
         vocabulary = BaseVocabulary(base_size, vocabulary.labels, boundary)
 

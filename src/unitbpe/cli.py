@@ -171,12 +171,10 @@ def _read_corpus(args, vocabulary: BaseVocabulary | None = None) -> Corpus:
 
 
 def _load_table(args) -> bpe.MergeTable:
-    """The --merges table over the --vocab sidecar, if any. The merge file is
-    read once: its line 3 is the boundary label the sidecar is loaded with."""
-    lines = read_lines(args.merges)
-    label = bpe.header_boundary_label(lines)
-    vocab = None if args.vocab is None else load_vocabulary(args.vocab, boundary_label=label)
-    return bpe.parse_merge_table(lines, vocab)
+    """The --merges table over the --vocab sidecar as written, if any: the
+    table's line 3 names the boundary, resolved by bpe.parse_merge_table."""
+    vocab = None if args.vocab is None else load_vocabulary(args.vocab, boundary_label=None)
+    return bpe.load_merge_table(args.merges, vocab)
 
 
 def _stop_reason(corpus: Corpus, table: bpe.MergeTable, min_pair_count: int) -> str:

@@ -27,7 +27,6 @@ from unitbpe import (
     symbolic_vocabulary,
     train,
 )
-from unitbpe.bpe import header_boundary_label
 from tests.conftest import random_corpus
 
 
@@ -274,6 +273,22 @@ class TestMergeTableFile:
         corpus = read_corpus(["a b _ a b"], "symbolic", given)
         assert encode_corpus(corpus, table).sequences[0].tokens == (6, 2, 6)
 
+    @pytest.mark.parametrize(
+        "given",
+        [letters("a", "b"), letters("a", "b", "_"), letters("a", "b", boundary="_")],
+        ids=["one-short-without-label", "holds-label", "holds-boundary"],
+    )
+    def test_line_3_resolves_against_the_vocabulary_as_given(self, given):
+        # A vocabulary one unit short that lacks line 3's label gets it
+        # appended last, as train does; one that holds it is used as given.
+        vocab = letters("a", "b", boundary="_")
+        table = train(read_corpus(["a b _ a b"], "symbolic", vocab), TrainOptions(target_size=len(vocab) + 1))
+        assert self.roundtrip(table, given) == table
+
+    def test_an_unlabelled_vocabulary_one_short_gets_the_next_id_as_boundary(self):
+        table = parse_merge_table(["unitbpe-v1", "8", "4", "0 0 1 8"], dau_vocabulary(4))
+        assert table.base == BaseVocabulary(8, None, 4)
+
     def test_unconstrained_table_round_trips_over_a_vocabulary_with_a_boundary(self):
         vocab = letters("a", "b", boundary="_")
         corpus = read_corpus(["a b _ a b", "a b"], "symbolic", vocab)
@@ -356,22 +371,6 @@ class TestMergeFileErrors:
         assert str(err.value) == message
         assert err.value.line == line
 
-    @pytest.mark.parametrize(
-        "rows, label",
-        [
-            (_VALID_FILE, "_"),
-            (_VALID_FILE[:3], "_"),
-            (["unitbpe-v1", "7", " "], None),
-            (["unitbpe-v1", "seven", "_"], "_"),
-            (["unitbpe-v0", "7", "_"], None),
-            (_VALID_FILE[:2], None),
-            ([], None),
-        ],
-        ids=["table", "header-only", "blank-label", "bad-size", "bad-magic", "truncated", "empty"],
-    )
-    def test_header_boundary_label(self, rows, label):
-        assert header_boundary_label(rows) == label
-
     def test_first_malformed_row_is_named(self):
         lines = [*_VALID_FILE[:4], "1 7 x 8", "2 8 0", ""]
         with pytest.raises(ParseError) as err:
@@ -399,11 +398,20 @@ class TestErrors:
              "token id -1 outside vocabulary of size 4"),
             (lambda: parse_merge_table(["unitbpe-v1", "7", "<pad>"], letters("a", "b", "c", boundary="_")),
              ValidationError, "boundary must not be a special token"),
+            (lambda: parse_merge_table(["unitbpe-v1", "6", "zz"], letters("a", "b", "_")),
+             ValidationError, "line 3: unknown label 'zz'"),
+            (lambda: parse_merge_table(["unitbpe-v1", "7", "zz"], letters("a", "b")),
+             ValidationError, "line 3: unknown label 'zz'"),
+            (lambda: parse_merge_table(["unitbpe-v1", "7", "9"], dau_vocabulary(4)),
+             ValidationError, "line 3: unknown label '9'"),
+            (lambda: parse_merge_table(["unitbpe-v1", "6", "a b"], letters("a", "b")),
+             ValidationError, "line 3: unknown label 'a b'"),
             (lambda: train(read_corpus(["0 1 0 1"], "dau-int"), TrainOptions(8), threads=0), ContractError,
              "threads must be at least 1"),
         ],
         ids=["min-pair-count-0", "target-above-2^63", "surface-past-end", "surface-negative",
-             "boundary-special-in-file", "threads-0"],
+             "boundary-special-in-file", "unknown-label-in-file", "unknown-label-two-short",
+             "unknown-label-dau", "label-with-space-one-short", "threads-0"],
     )
     def test_error_type_and_text(self, call, error, message):
         with pytest.raises(UnitBpeError) as err:

@@ -28,7 +28,6 @@ from unitbpe import (
     symbolic_vocabulary,
     train,
 )
-from unitbpe.bpe import header_boundary_label
 from unitbpe.codec import read_token_lines
 from unitbpe.corpus import SPECIAL_LABELS, corpus_lines, decode_lines
 from unitbpe.errors import ContractError, UnitBpeError
@@ -126,13 +125,16 @@ class TestVocabularies:
         boundary=st.none() | st.integers(0, 5),
         respect_boundaries=st.booleans(),
         min_pair_count=st.integers(1, 3),
+        drop_boundary=st.booleans(),
     )
     def test_every_accepted_vocabulary_round_trips_through_files(
-        self, tmp_path_factory, labels, boundary, respect_boundaries, min_pair_count
+        self, tmp_path_factory, labels, boundary, respect_boundaries, min_pair_count, drop_boundary
     ):
         # Empty and repeated labels are left to TestErrors, so most draws build.
         if boundary is not None and boundary >= len(labels):
             boundary = None
+        if drop_boundary and boundary is not None:
+            boundary = len(labels) - 1  # the trailing label, left out of the saved sidecar below
         try:
             vocab = BaseVocabulary(len(labels) + 3, tuple(labels), boundary)
         except ValidationError:
@@ -147,7 +149,15 @@ class TestVocabularies:
         out = io.StringIO()
         save_merge_table(table, out)
         lines = out.getvalue().splitlines()
-        assert parse_merge_table(lines, load_vocabulary(sidecar, header_boundary_label(lines))) == table
+        if drop_boundary and boundary is not None:
+            # As train appends a boundary label its sidecar lacks, so the
+            # table's line 3 appends it; a table without a boundary cannot.
+            save_vocabulary(BaseVocabulary(vocab.size - 1, tuple(labels[:-1])), sidecar)
+            if table.base.boundary is None:
+                with pytest.raises(ValidationError, match="does not match recorded base size"):
+                    parse_merge_table(lines, load_vocabulary(sidecar, boundary_label=None))
+                return
+        assert parse_merge_table(lines, load_vocabulary(sidecar, boundary_label=None)) == table
 
 
 # Tokens a symbolic line may hold: decimal ids, some past the content ids,

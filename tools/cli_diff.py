@@ -49,6 +49,9 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("train-symbolic", "train --input s.txt --format symbolic --target-size 60 --save-vocab v.txt --out m.bpe", None),
     ("train-symbolic-oracle", "train --input s.txt --format symbolic --target-size 60 --oracle", None),
     ("train-symbolic-sidecar", "train --input s.txt --format symbolic --vocab s.vocab --target-size 60", None),
+    # a sidecar without `_`: train appends it, and the table's line 3 appends it again on load
+    ("train-sidecar-without-boundary",
+     "train --input k.txt --format symbolic --vocab k.vocab --target-size 11 --min-pair-count 1", None),
     ("train-no-boundary",
      "train --input s.txt --format symbolic --no-boundary --target-size 60 --save-vocab v.txt", None),
     ("train-boundary", "train --input b.txt --format symbolic --boundary '|' --target-size 60 --save-vocab v.txt",
@@ -74,6 +77,8 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("encode-symbolic-oracle", "encode --input s.txt --format symbolic --vocab s.vocab --merges s.bpe --oracle", None),
     ("encode-symbolic-surfaces",
      "encode --input s.txt --format symbolic --vocab s.vocab --merges s.bpe --surfaces", None),
+    ("encode-sidecar-without-boundary",
+     "encode --input k.txt --format symbolic --vocab k.vocab --merges k.bpe", None),
     ("encode-no-boundary", "encode --input s.txt --format symbolic --vocab n.vocab --merges n.bpe", None),
     ("encode-no-boundary-oracle",
      "encode --input s.txt --format symbolic --vocab n.vocab --merges n.bpe --oracle", None),
@@ -86,6 +91,8 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("decode", "decode --input z.tok --merges z.bpe --out back.txt", None),
     ("decode-stdin", "decode --input - --merges z.bpe", "z.tok"),
     ("decode-symbolic", "decode --input s.tok --format symbolic --vocab s.vocab --merges s.bpe", None),
+    ("decode-sidecar-without-boundary",
+     "decode --input k.tok --format symbolic --vocab k.vocab --merges k.bpe", None),
     ("decode-no-boundary", "decode --input n.tok --format symbolic --vocab n.vocab --merges n.bpe", None),
     # reports
     ("stats", "stats --input z.txt", None),
@@ -148,6 +155,9 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("error-label-with-space",
      "train --input ws.txt --format symbolic --vocab ws.vocab --target-size 8 --out m.bpe", None),
     ("error-vocab-mismatch", "encode --input z.txt --merges t.bpe", None),
+    # line 3 names a label that k.vocab, of the table's base size, lacks
+    ("error-line3-unknown-label", "encode --input k.txt --format symbolic --vocab k.vocab --merges zz.bpe", None),
+    ("error-line3-reserved-label", "encode --input k.txt --format symbolic --vocab k.vocab --merges pad.bpe", None),
     # decode faults over t.bpe, an 8-token table whose specials are 3-5
     *((f"error-decode-{name}", "decode --input - --merges t.bpe", f"{name}.tok") for name in (
         "range", "first-bad-line", "special-then-range", "range-then-parse", "special-range-parse",
@@ -175,6 +185,8 @@ FIXED = {
     "utf8.bpe": b"unitbpe-v1\n\xff6\n\n",
     "k.txt": b"K AE1 T S\n",
     "k.vocab": b"K\nAE1\nT\nS\n",
+    "zz.bpe": b"unitbpe-v1\n7\nzz\n",
+    "pad.bpe": b"unitbpe-v1\n7\n<pad>\n",
     "r.txt": b"a b\nc <bos>\n",
     "r.vocab": b"a\nb\nc\n",
     "ws.txt": b"a a _ a a\n",
@@ -205,6 +217,8 @@ SETUP = (
     "encode --input s.txt --format symbolic --vocab n.vocab --merges n.bpe --out n.tok",
     "train --input c.txt --target-size 8 --out t.bpe",
     "train --input h.txt --format symbolic --target-size 7 --save-vocab h.vocab --out h.bpe",
+    "train --input k.txt --format symbolic --vocab k.vocab --target-size 11 --min-pair-count 1 --out k.bpe",
+    "encode --input k.txt --format symbolic --vocab k.vocab --merges k.bpe --out k.tok",
 )
 
 
