@@ -20,8 +20,8 @@ counted in a table local to its pass; only those that reach
 contract is defined by equivalence with the reference implementation that
 rescans the corpus every iteration (see the oracle module).
 
-A merge table's validating walk over its rules also builds its packed rule
-index; a token's surface is built the first time that token is looked up.
+A merge table's validating walk builds its packed rule index. Its surface
+map sums each merged token's length once, then builds surfaces on lookup.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class MergeTable(Record):
     boundary and special units out of merged tokens, so token surfaces
     never mix the boundary with other units. The same walk builds
     ``packed_rules``: ``((left << shift) | right -> result, shift)``.
-    Its surface map holds only the ids that decode or the encoder looked up.
+    Its surface map holds each merged token's length and looked-up surfaces.
     """
 
     _fields = ("base", "merges")
@@ -121,7 +121,6 @@ class MergeTable(Record):
 
     @cached_property
     def _expansions(self) -> _Surfaces:
-        # Token id -> its surface as base unit ids, filled on first lookup.
         return _Surfaces(self.merges, self.base.size, self.vocab_size)
 
     @cached_property
@@ -144,38 +143,40 @@ class MergeTable(Record):
 class _Surfaces(dict):
     """Token id -> its surface as base unit ids, filled on first lookup.
 
-    A miss range-checks the id, then walks the rules depth first from it,
-    taking whole any surface already stored, and copying the left half of
-    a rule with two equal halves once written, so a doubling costs one
-    copy. Only the looked-up id is stored, so the map holds the surfaces
-    asked for: never every merged token's, and nothing per base id.
+    ``lengths`` maps each merged token to its surface length, summed from
+    its halves'. A miss range-checks the id and walks the rules depth first,
+    taking whole a stored surface and copying the span first written for a
+    merged id met again. Only looked-up ids are stored, none per base id.
     """
 
-    __slots__ = ("merges", "base", "size")
+    __slots__ = ("merges", "base", "size", "lengths")
 
     def __init__(self, merges: Sequence[Merge], base: int, size: int):
-        super().__init__()
         self.merges, self.base, self.size = merges, base, size
+        self.lengths = lengths = {}
+        for _, a, b, t in merges:
+            lengths[t] = lengths.get(a, 1) + lengths.get(b, 1)
 
     def __missing__(self, token_id: int) -> tuple[int, ...]:
         token_id = index(token_id)  # an int is stored, never an equal float or bool
         if not 0 <= token_id < self.size:
             raise ValidationError(f"token id {token_id} outside vocabulary of size {self.size}")
-        base, merges, get = self.base, self.merges, self.get
+        base, merges, lengths, get = self.base, self.merges, self.lengths, self.get
         units: list[int] = []
+        written: dict[int, int] = {}  # merged id -> where this walk first wrote it
         stack = [token_id]
         while stack:
             t = stack.pop()
-            known = get(t)
-            if known is not None:
-                units += known
-            elif t < 0:  # the left half written from ~t on is the right half too
-                units += units[~t:]
-            elif t < base:
+            if t < base:
                 units.append(t)
+            elif (known := get(t)) is not None:
+                units += known
+            elif t in written:
+                units += units[written[t]:written[t] + lengths[t]]
             else:
+                written[t] = len(units)
                 m = merges[t - base]
-                stack += (~len(units), m.left) if m.left == m.right else (m.right, m.left)
+                stack += (m.right, m.left)
         surface = self[token_id] = tuple(units)
         return surface
 

@@ -320,10 +320,14 @@ def _cmd_synth(args) -> int:
     from . import synth
 
     if args.kind == "zipf":
-        spec, generate = synth.ZipfSpec, synth.gen_zipf_corpus
+        spec, generate, size = synth.ZipfSpec, synth.gen_zipf_corpus, f"--vocab-size {args.vocab_size}"
     else:
-        spec, generate = synth.RunLengthSpec, synth.gen_runlength_corpus
-    corpus = generate(spec(**{f: getattr(args, f) for f in spec._fields}))
+        spec, generate, size = synth.RunLengthSpec, synth.gen_runlength_corpus, f"--clusters {args.clusters}"
+    try:
+        corpus = generate(spec(**{f: getattr(args, f) for f in spec._fields}))
+    except MemoryError:
+        sizes = f"{size}, --sequences {args.num_sequences} and --length {args.mean_length}"
+        raise ValidationError(f"{sizes} are too large to generate") from None
     write_lines(_out(args.out), corpus_lines(corpus, FORMAT_DAU))
     return 0
 

@@ -10,9 +10,9 @@ the previous token fails, and backtracks when none fits (the backtracking
 encoder of GitHub's ``bpe`` crate). Because no rule involves the boundary
 or a special token, those units pass through untouched and merged tokens
 never span a word boundary. ``_build_encoder`` builds the index, which
-grows to the longest input encoded so far, and the search over it;
-``MergeTable._encoder`` caches them on the first encode, so a table that
-only decodes never builds them.
+grows to the longest input encoded so far by the token lengths the table
+holds, and the search over it; ``MergeTable._encoder`` caches them on the
+first encode, so a table that only decodes never builds them.
 
 Decoding concatenates token surfaces, which makes the round trip lossless
 by construction: each id is one lookup in the table's surface map, which
@@ -50,13 +50,13 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
     """The table's encoder, a function from base unit ids to token ids,
     with its index over the kept tokens: those whose surface encodes to
     themselves. Every base id is kept; a merged token is kept when both
-    halves are and their seam holds below it, and its length is theirs
-    summed. The trie holds kept surfaces only: it maps node << shift | unit
-    to a child, which is a kept token or a negative id for a prefix that is
-    none, and each base id is its own root. shorter maps each indexed token
-    to the longest kept proper prefix, with its length. A call on n units
-    first indexes the kept tokens of at most n units, reading a right
-    half's units from the table's surface map. Nothing here is per base id.
+    halves are and their seam holds below it. The trie holds kept surfaces
+    only: it maps node << shift | unit to a child, which is a kept token or
+    a negative id for a prefix that is none, and each base id is its own
+    root. shorter maps each indexed token to the longest kept proper
+    prefix, with its length. A call on n units first indexes the kept
+    tokens whose length in the table's surface map is at most n, reading a
+    right half's units from that map. Nothing here is per base id.
     """
     base, size = table.base.size, table.vocab_size  # |Z|, the seam limit for two output tokens
     rules, shift = table.packed_rules
@@ -90,18 +90,17 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
                 limit = t2 + 1
                 t2 = left[t2]
 
-    length: dict[int, int] = {}  # of each kept merged token's surface
     for _, a, b, t in table.merges:
-        if (a < base or a in length) and (b < base or b in length) and fits(a, b, t):
+        if (a < base or a in left) and (b < base or b in left) and fits(a, b, t):
             left[t], right[t] = a, b
-            length[t] = length.get(a, 1) + length.get(b, 1)
     surfaces = table._expansions  # bound here, so the encoder the table caches holds no cycle
+    length = surfaces.lengths
     trie: dict[int, int] = {}
     shorter: dict[int, tuple[int, int]] = {}
     # Kept tokens not yet in the trie, longest first, so each pop is a
     # shortest one and its walk meets every shorter kept prefix. A new prefix
     # node's id, ~len(trie), is one no node has, since the trie only grows.
-    pending = sorted(length, key=length.__getitem__, reverse=True)
+    pending = sorted(left, key=length.__getitem__, reverse=True)
 
     def encode_ids(ids: Sequence[int], get=trie.get, shift=shift, shorter=shorter, fits=fits, size=size):
         n = len(ids)

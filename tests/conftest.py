@@ -53,12 +53,14 @@ def random_sequence(rng: random.Random, vocab: BaseVocabulary, max_length: int =
 
 
 @st.composite
-def untrained_tables(draw, max_content=5, max_merges=16, vocabularies=None):
+def untrained_tables(draw, max_content=5, max_merges=16, vocabularies=None, recent=0):
     """Any valid MergeTable: dense ranks, both sides defined before the
     result, no special or boundary unit merged, no pair twice. Most of these
     are tables no training run would produce. ``vocabularies`` maps the
     number of content units to a strategy for the base; by default it is
-    labelled u0, u1, ... and has no boundary."""
+    labelled u0, u1, ... and has no boundary. With ``recent``, a half is
+    also often one of the last ``recent`` results, so deep surfaces spell
+    the same merged id many times, as the doubling and Fibonacci shapes do."""
     content = draw(st.integers(1, max_content))
     if vocabularies is None:
         vocab = symbolic_vocabulary([f"u{i}" for i in range(content)], boundary_label=None)
@@ -67,7 +69,10 @@ def untrained_tables(draw, max_content=5, max_merges=16, vocabularies=None):
     base = len(vocab)
     merges: list[Merge] = []
     for _ in range(draw(st.integers(0, max_merges))):
-        usable = st.sampled_from(list(range(content)) + list(range(base, base + len(merges))))
+        results = list(range(base, base + len(merges)))
+        usable = st.sampled_from(list(range(content)) + results)
+        if recent and results:
+            usable = st.one_of(usable, st.sampled_from(results[-recent:]))
         pair = (draw(usable), draw(usable))
         if pair not in {(m.left, m.right) for m in merges}:
             merges.append(Merge(len(merges), pair[0], pair[1], base + len(merges)))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -295,10 +296,11 @@ class TestDecodeMatchesReference:
         assert (code, out.getvalue(), err.getvalue()) == reference_decode(lines, table, fmt)
 
     @settings(max_examples=200, deadline=None)
-    @given(untrained_tables(vocabularies=cli_vocabularies), st.data())
+    @given(untrained_tables(vocabularies=cli_vocabularies, recent=3), st.data())
     def test_token_surface_expands_the_rules(self, table, data):
         base = table.base.size
 
+        @cache  # the plain recursion, once per id: a surface may spell 2^17 units
         def expand(t):
             if t < base:
                 return (t,)
@@ -309,6 +311,8 @@ class TestDecodeMatchesReference:
         order = data.draw(st.lists(st.integers(0, table.vocab_size - 1), max_size=20))
         assert [table.token_surface(t) for t in order] == [expand(t) for t in order]
         assert set(table._expansions) == set(order)
+        lengths = table._expansions.lengths
+        assert lengths == {m.result: len(expand(m.result)) for m in table.merges}
 
 
 class TestReports:

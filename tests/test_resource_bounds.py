@@ -75,21 +75,26 @@ def test_large_id_costs_what_a_small_one_does(files, argv, out):
 # Forty doubling rules over one content unit: token 4 + k spells 2^(k + 1)
 # copies of unit 0, so all surfaces together hold 2^41 units.
 DOUBLING = "unitbpe-v1\n4\n\n0 0 0 4\n" + "".join(f"{r} {r + 3} {r + 3} {r + 4}\n" for r in range(1, 40))
+# Sixty-two rules whose lengths grow as Fibonacci numbers: from token 6 on,
+# token k is token k - 1 then token k - 2, two unequal halves, and every
+# token k spells F(k - 1) copies of unit 0.
+FIBONACCI = "unitbpe-v1\n4\n\n0 0 0 4\n1 4 0 5\n" + "".join(f"{r} {r + 3} {r + 2} {r + 4}\n" for r in range(2, 62))
 
 
 @pytest.mark.parametrize(
-    "tokens, out",
+    "table, tokens, out",
     [
-        ("0\n", "0\n"),
-        ("13\n", " ".join(["0"] * 2**10) + "\n"),
-        ("0 13 0\n8\n", " ".join(["0"] * (2**10 + 2)) + "\n" + " ".join(["0"] * 2**5) + "\n"),
+        (DOUBLING, "0\n", "0\n"),
+        (DOUBLING, "13\n", " ".join(["0"] * 2**10) + "\n"),
+        (DOUBLING, "0 13 0\n8\n", " ".join(["0"] * (2**10 + 2)) + "\n" + " ".join(["0"] * 2**5) + "\n"),
+        (FIBONACCI, "31\n", " ".join(["0"] * 832_040) + "\n"),
     ],
-    ids=["base-id", "2^10-unit-token", "lines"],
+    ids=["base-id", "2^10-unit-token", "lines", "fibonacci-832040-unit-token"],
 )
-def test_decode_stores_only_the_surfaces_it_reads(tmp_path, tokens, out):
-    (tmp_path / "doubling.bpe").write_text(DOUBLING, encoding="utf-8")
+def test_decode_stores_only_the_surfaces_it_reads(tmp_path, table, tokens, out):
+    (tmp_path / "m.bpe").write_text(table, encoding="utf-8")
     (tmp_path / "t.txt").write_text(tokens, encoding="utf-8")
-    proc = run_limited(tmp_path, "-m", "unitbpe", "decode", "--input", "t.txt", "--merges", "doubling.bpe")
+    proc = run_limited(tmp_path, "-m", "unitbpe", "decode", "--input", "t.txt", "--merges", "m.bpe")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == out
 
@@ -117,6 +122,25 @@ def test_decode_of_a_token_too_long_for_memory_names_its_line(tmp_path):
     proc = run_limited(tmp_path, "-m", "unitbpe", "decode", "--input", "t.txt", "--merges", "doubling.bpe")
     fault = "unitbpe: error: line 2: token id 43 is too long to decode\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", fault)
+
+
+@pytest.mark.parametrize(
+    "argv, fault",
+    [
+        # Token 63 spells F(62), about 4 * 10^12 units.
+        ("decode --input t.txt --merges fibonacci.bpe", "line 1: token id 63 is too long to decode"),
+        ("synth zipf --seed 1 --vocab-size 1000000000000 --sequences 1 --length 1",
+         "--vocab-size 1000000000000, --sequences 1 and --length 1 are too large to generate"),
+        ("synth runlength --seed 1 --clusters 1000000000000 --sequences 1 --length 1",
+         "--clusters 1000000000000, --sequences 1 and --length 1 are too large to generate"),
+    ],
+    ids=["decode-fibonacci", "synth-zipf", "synth-runlength"],
+)
+def test_a_run_too_large_for_memory_exits_naming_its_cause(tmp_path, argv, fault):
+    (tmp_path / "fibonacci.bpe").write_text(FIBONACCI, encoding="utf-8")
+    (tmp_path / "t.txt").write_text("63\n", encoding="utf-8")
+    proc = run_limited(tmp_path, "-m", "unitbpe", *argv.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"unitbpe: error: {fault}\n")
 
 
 @pytest.mark.parametrize("length", [3, 5000])

@@ -94,6 +94,8 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("decode-sidecar-without-boundary",
      "decode --input k.tok --format symbolic --vocab k.vocab --merges k.bpe", None),
     ("decode-no-boundary", "decode --input n.tok --format symbolic --vocab n.vocab --merges n.bpe", None),
+    # token 20 of a table whose lengths grow as Fibonacci numbers spells 4,181 units
+    ("decode-fibonacci", "decode --input - --merges fibonacci.bpe", "fibonacci.tok"),
     # reports
     ("stats", "stats --input z.txt", None),
     ("stats-json", "stats --input z.txt --json", None),
@@ -167,6 +169,8 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("error-decode-special-symbolic", "decode --input - --format symbolic --vocab h.vocab --merges h.bpe",
      "special.tok"),
     ("error-decode-doubling-huge", "decode --input - --merges doubling.bpe", "huge.tok"),
+    ("error-decode-fibonacci-huge", "decode --input - --merges fibonacci.bpe", "fibonacci-huge.tok"),
+    ("error-synth-huge-vocab", "synth zipf --seed 1 --vocab-size 1000000000000 --sequences 1 --length 1", None),
 )
 
 # Files the cases read that are written directly rather than generated.
@@ -204,6 +208,12 @@ FIXED = {
     + b"".join(b"%d %d %d %d\n" % (r, r + 3, r + 3, r + 4) for r in range(1, 40)),
     "zeros.txt": b"0 0 0\n",
     "huge.tok": b"43\n",
+    # From token 6 on, token k is token k - 1 then token k - 2; token k spells
+    # F(k - 1) copies of unit 0.
+    "fibonacci.bpe": b"unitbpe-v1\n4\n\n0 0 0 4\n1 4 0 5\n"
+    + b"".join(b"%d %d %d %d\n" % (r, r + 3, r + 2, r + 4) for r in range(2, 62)),
+    "fibonacci.tok": b"20\n",
+    "fibonacci-huge.tok": b"63\n",
 }
 
 # CLI runs, against this tree, that write the tables, sidecars and token
