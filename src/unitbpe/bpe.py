@@ -35,7 +35,7 @@ from operator import index
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
-from .corpus import BaseVocabulary, Corpus, Record, read_lines, split_chunks, symbolic_vocabulary, write_lines
+from .corpus import BaseVocabulary, Corpus, Record, _ids_of, read_lines, split_chunks, symbolic_vocabulary, write_lines
 from .errors import ContractError, ParseError, ValidationError
 
 MERGE_FILE_MAGIC = "unitbpe-v1"
@@ -353,9 +353,12 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
     if len(rows) < 3:
         raise ParseError("truncated header: need base size and boundary label lines", line=len(rows))
     try:
-        base_size = int(rows[1], 10)
+        spelt = _ids_of([rows[1].strip()])
     except ValueError:
         raise ParseError(f"base vocabulary size must be an integer, got {rows[1]!r}", line=2) from None
+    if spelt is None:
+        raise ParseError(f"base vocabulary size must be a canonical integer, got {rows[1]!r}", line=2)
+    (base_size,) = spelt
     if base_size < 0:
         raise ParseError("base vocabulary size must be non-negative", line=2)
     label = rows[2].strip() or None
@@ -366,7 +369,7 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
                 f"table records boundary label {label!r}; a vocabulary is required to resolve it"
             )
         vocabulary = BaseVocabulary(base_size)
-    elif label is not None and label not in vocabulary._lookup((label,)):
+    elif label is not None and vocabulary._lookup(label) is None:
         if vocabulary.size != base_size - 1 or len(label.split()) != 1:
             raise ValidationError(f"line 3: unknown label {label!r}")
         vocabulary = symbolic_vocabulary(map(vocabulary.surface, vocabulary.content_ids()), label)
@@ -382,9 +385,12 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
         if len(cols) != 4:
             raise ParseError(f"expected 4 fields, got {len(cols)}" if cols else "blank merge row", line=lineno)
         try:
-            merges.append(Merge._make(map(int, cols)))
+            ids = _ids_of(cols)
         except ValueError:
             raise ParseError(f"non-integer field in merge row {row!r}", line=lineno) from None
+        if ids is None:
+            raise ParseError(f"non-canonical field in merge row {row!r}", line=lineno)
+        merges.append(Merge._make(ids))
     try:
         return MergeTable(vocabulary, tuple(merges))
     except ValidationError as err:

@@ -28,6 +28,7 @@ from .corpus import (
     FORMATS,
     BaseVocabulary,
     Corpus,
+    _map_lines,
     corpus_lines,
     corpus_stats,
     decode_lines,
@@ -226,52 +227,36 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _token_ids(line: str, lineno: int, table: bpe.MergeTable) -> tuple[int, ...]:
-    """The ids of a line of tokens that decode. Otherwise the line's first
-    fault is raised, in the order of a whole-line check: a non-integer
-    token, then an id outside the merged vocabulary, then a special id."""
-    ids = parse_id_line(line, lineno)
-    size, special = table.vocab_size, table.base.special
-    if ids and (min(ids) < 0 or max(ids) >= size):
-        bad = next(t for t in ids if not 0 <= t < size)
-        raise ValidationError(f"line {lineno}: token id {bad} outside vocabulary of size {size}")
-    if not special.isdisjoint(ids):
-        bad = next(t for t in ids if t in special)
-        raise ValidationError(f"line {lineno}: token id {bad} is a reserved special token")
-    return ids
-
-
 def _cmd_decode(args) -> int:
     """Decode token lines. Unlike library decode, a special id is an error:
     the output must be a corpus file, and those never hold specials.
 
-    A line costs one lookup per token in a map from a token's text (``5``
-    and ``05`` apart) to its rendered units. When a line holds texts the map
-    lacks, only those can be faulty, so they are checked together first; if
-    one is, the whole line is checked to name its first fault. Either way no
-    surface is built before the line is known to decode. Nothing is written
-    unless every line decodes. No Corpus is built."""
+    Lines are read in the corpus reader's one pass, through a map from a
+    token's text (an id has one) to its rendered units. A line's new texts
+    are checked, naming its first fault (a token that spells no id, an id
+    outside the merged vocabulary, a special id), before any surface is
+    built. Nothing is written unless every line decodes."""
     table = _load_table(args)
     label, surface = unit_label(table.base, args.format), table._expansions.__getitem__
-    rendered: dict[str, str] = {}
-    lines = []
-    for lineno, line in enumerate(_read_lines(args.input), start=1):
-        texts = line.split()
-        try:
-            lines.append(" ".join(map(rendered.__getitem__, texts)))
-        except KeyError:
-            new = list(set(texts).difference(rendered))
+    size, special = table.vocab_size, table.base.special
+
+    def render(line: str, lineno: int) -> list[str]:
+        ids = parse_id_line(line, lineno)
+        if ids and (min(ids) < 0 or max(ids) >= size):
+            bad = next(t for t in ids if not 0 <= t < size)
+            raise ValidationError(f"line {lineno}: token id {bad} outside vocabulary of size {size}")
+        if not special.isdisjoint(ids):
+            bad = next(t for t in ids if t in special)
+            raise ValidationError(f"line {lineno}: token id {bad} is a reserved special token")
+        units = []
+        for token_id in ids:
             try:
-                ids = _token_ids(" ".join(new), lineno, table)
-            except UnitBpeError:
-                _token_ids(line, lineno, table)  # raises the fault first in the line
-                raise
-            for text, token_id in zip(new, ids):
-                try:
-                    rendered[text] = " ".join(map(label, surface(token_id)))
-                except MemoryError:
-                    raise ValidationError(f"line {lineno}: token id {token_id} is too long to decode") from None
-            lines.append(" ".join(map(rendered.__getitem__, texts)))
+                units.append(" ".join(map(label, surface(token_id))))
+            except MemoryError:
+                raise ValidationError(f"line {lineno}: token id {token_id} is too long to decode") from None
+        return units
+
+    lines = list(map(" ".join, _map_lines(_read_lines(args.input), render, {})))
     write_lines(_out(args.out), lines)
     return 0
 

@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bpe import MergeTable
-from .corpus import Corpus, Record, UnitSequence, parse_id_line, split_chunks
+from .corpus import Corpus, Record, UnitSequence, _map_lines, parse_id_line, split_chunks
 from .errors import ContractError, ValidationError
 
 
@@ -249,6 +249,6 @@ def token_lines(
 
 
 def read_token_lines(lines: Iterable[str]) -> list[TokenSequence]:
-    """Parse whitespace-separated token ids, one sequence per line; ids are
-    not range-checked here (decode does that)."""
-    return [TokenSequence(parse_id_line(line, lineno)) for lineno, line in enumerate(lines, start=1)]
+    """Parse whitespace-separated token ids, one sequence per line, in the
+    corpus reader's one pass; decode range-checks the ids."""
+    return list(map(TokenSequence, _map_lines(lines, parse_id_line, {})))

@@ -4,7 +4,7 @@ A corpus is a list of unit sequences over a closed base vocabulary. Two
 on-disk layouts are supported, both one sequence per line with
 whitespace-separated tokens:
 
-* ``dau-int``: base-10 unit ids (discrete acoustic unit streams),
+* ``dau-int``: unit ids in canonical decimal (discrete acoustic unit streams),
 * ``symbolic``: free-form non-whitespace labels (phoneme streams), with a
   configurable word-boundary label (default ``_``).
 
@@ -13,16 +13,16 @@ DAU inventory with K clusters has size K+3. Its labels are the ids' decimal
 strings and are never stored, so no run is sized by an id in its input.
 Corpus files carry content units only; special ids never appear in files.
 
-Parsing and rendering make one C-level pass per line: ``int`` or the label
-lookup mapped over its tokens, then ``min``/``max`` and a disjointness test
-against the specials. Only a line that fails is walked token by token, to
-name the offending token and line.
+Parsing maps each line's token texts to ids through one dict, one C-level
+pass per line in either format. Only texts the dict lacks are checked, to
+name the line's first fault, and then join it, so each distinct text is
+checked once, where it first appears. Rendering is one map per line.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import chain, count
+from functools import cached_property, partial
+from itertools import count, filterfalse
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, AbstractSet, Callable, Iterable, Iterator
@@ -166,18 +166,18 @@ class BaseVocabulary(Record):
     def _surface_to_id(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels + SPECIAL_LABELS)}
 
-    def _lookup(self, labels: Iterable[str]) -> dict[str, int]:
-        """Label -> id for at least those of ``labels`` that name a unit: a
-        labelled vocabulary's whole table, or else the specials and those of
-        ``labels`` that are the decimal string of a content id."""
+    def _lookup(self, label: str) -> int | None:
+        """The id ``label`` names, or None: a labelled vocabulary's table
+        entry, or else a special's id or a content id spelt as an id."""
         if self.labels is not None:
-            return self._surface_to_id
-        content = self.size - 3
-        digits = len(str(content))  # a longer label names no content id
-        ids = {s: i for s in set(labels) if s.isascii() and s.isdigit() and len(s) <= digits
-               and (i := int(s)) < content and str(i) == s}
-        ids.update(zip(SPECIAL_LABELS, range(content, self.size)))
-        return ids
+            return self._surface_to_id.get(label)
+        if label in _RESERVED:
+            return self.size - 3 + SPECIAL_LABELS.index(label)
+        try:
+            ids = _ids_of([label])
+        except ValueError:
+            return None
+        return ids[0] if ids and 0 <= ids[0] < self.size - 3 else None
 
     def surface(self, unit_id: int) -> str:
         if not 0 <= unit_id < self.size:
@@ -187,7 +187,7 @@ class BaseVocabulary(Record):
         return str(unit_id) if self.labels is None else self.labels[unit_id]
 
     def id_of(self, label: str) -> int:
-        uid = self._lookup((label,)).get(label)
+        uid = self._lookup(label)
         if uid is None:
             raise ValidationError(f"unknown label {label!r}")
         return uid
@@ -322,76 +322,74 @@ class Corpus(Record):
         return sum(len(s) for s in self.sequences)
 
 
+def _ids_of(texts: list[str]) -> tuple[int, ...] | None:
+    """The ids ``texts`` spell, or None if one is an integer spelt another
+    way. An id is spelt as ``str`` prints it: ASCII ``0`` or ``[1-9][0-9]*``,
+    after a ``-`` if nonzero. So ``+2``, ``1_0``, ``\u0663``, ``05``, ``-0``
+    and ``-05`` spell no id. A text that ``int`` rejects raises its ValueError."""
+    ids = tuple(map(int, texts))
+    return ids if list(map(str, ids)) == texts else None
+
+
 def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
-    """The whitespace-separated base-10 integers of one line. A token that
-    is not one raises ParseError naming it and the line."""
+    """The ids of one line's whitespace-separated tokens (see _ids_of). The
+    first token that spells no id raises ParseError naming it and the line."""
+    texts = line.split()
     try:
-        return tuple(map(int, line.split()))
+        ids = _ids_of(texts)
     except ValueError:
-        for tok in line.split():
-            try:
-                int(tok, 10)
-            except ValueError:
-                raise ParseError(f"non-integer token {tok!r}", line=lineno) from None
-        raise
-
-
-def _parse_dau_lines(lines: Iterable[str], vocabulary: BaseVocabulary | None):
-    # Each line is checked as it is parsed, so the first bad line is named.
-    size = None if vocabulary is None else vocabulary.size
-    top = -1  # the largest id, which sizes an inferred vocabulary
-    raw: list[tuple[int, ...]] = []
-    for lineno, line in enumerate(lines, start=1):
-        ids = parse_id_line(line, lineno)
-        if ids:
-            if min(ids) < 0:
-                bad = next(i for i in ids if i < 0)
-                raise ValidationError(f"line {lineno}: negative unit id {bad}")
-            high = max(ids)
-            if size is None:
-                top = max(top, high)
-            elif high >= size - 3:  # the specials are the last three ids
-                for i in ids:
-                    if i >= size:
-                        raise ValidationError(f"line {lineno}: unit id {i} outside vocabulary of size {size}")
-                    if i >= size - 3:
-                        raise ValidationError(f"line {lineno}: id {i} is a reserved special token")
-        raw.append(ids)
-    if vocabulary is None:
-        vocabulary = dau_vocabulary(top + 1)
-    return raw, vocabulary
-
-
-def _parse_symbolic_lines(
-    lines: Iterable[str], vocabulary: BaseVocabulary | None, boundary_label: str | None
-):
-    unlabelled = vocabulary is None or vocabulary.labels is None
-    # A list when the labels are read before parsing, to infer or to map them.
-    rows = [line.split() for line in lines] if unlabelled else map(str.split, lines)
-    if vocabulary is None:
-        # Labels in first-appearance order; a reserved one is named with its
-        # first line, as a given vocabulary's lookup below names it.
-        labels = dict.fromkeys(chain.from_iterable(rows))
-        if not _RESERVED.isdisjoint(labels):
-            lineno, label = next((i, t) for i, row in enumerate(rows, start=1) for t in row if t in _RESERVED)
-            raise ValidationError(f"line {lineno}: label {label!r} is a reserved special token")
-        vocabulary = symbolic_vocabulary(labels, boundary_label)
-    to_id, special = vocabulary._lookup(chain.from_iterable(rows)), vocabulary.special
-    raw = []
-    for lineno, row in enumerate(rows, start=1):
+        ids = None
+    for tok in texts if ids is None else ():  # name the first token that spells no id
         try:
-            ids = tuple(map(to_id.__getitem__, row))
+            if _ids_of([tok]) is None:
+                raise ParseError(f"non-canonical integer token {tok!r}", line=lineno)
+        except ValueError:
+            raise ParseError(f"non-integer token {tok!r}", line=lineno) from None
+    return ids
+
+
+def _map_lines(lines: Iterable[str], check: Callable, known: dict[str, object]) -> Iterator[tuple]:
+    """Each line's token texts mapped through ``known``. The texts it lacks
+    go, as one line in the order they first appear, to ``check(line,
+    lineno)``, which returns their values to join ``known`` or raises the
+    first fault; it judges each text alone, so that is the line's first."""
+    for lineno, line in enumerate(lines, start=1):
+        texts = line.split()
+        try:
+            row = tuple(map(known.__getitem__, texts))
         except KeyError:
-            ids = None
-        if ids is None or not special.isdisjoint(ids):
-            for label in row:
-                uid = to_id.get(label)
-                if uid is None:
-                    raise ValidationError(f"line {lineno}: unknown label {label!r}")
-                if uid in special:
-                    raise ValidationError(f"line {lineno}: label {label!r} is a reserved special token")
-        raw.append(ids)
-    return raw, vocabulary
+            new = list(dict.fromkeys(filterfalse(known.__contains__, texts)))
+            known.update(zip(new, check(" ".join(new), lineno)))
+            row = tuple(map(known.__getitem__, texts))
+        yield row
+
+
+def _dau_ids(line: str, lineno: int, size: int | None) -> tuple[int, ...]:
+    """The ids of one ``dau-int`` line, or its first fault: a token that
+    spells no id, then a negative id, then an id past ``size`` or special."""
+    ids = parse_id_line(line, lineno)
+    for i in ids:
+        if i < 0:
+            raise ValidationError(f"line {lineno}: negative unit id {i}")
+    for i in ids if size is not None else ():
+        if i >= size:
+            raise ValidationError(f"line {lineno}: unit id {i} outside vocabulary of size {size}")
+        if i >= size - 3:  # the specials are the last three ids
+            raise ValidationError(f"line {lineno}: id {i} is a reserved special token")
+    return ids
+
+
+def _symbolic_ids(line: str, lineno: int, lookup: Callable[[str], int | None]) -> tuple[int, ...]:
+    """The ids of one ``symbolic`` line, or its first label that is reserved
+    or that ``lookup`` does not know."""
+    ids = []
+    for label in line.split():
+        if label in _RESERVED:
+            raise ValidationError(f"line {lineno}: label {label!r} is a reserved special token")
+        if (uid := lookup(label)) is None:
+            raise ValidationError(f"line {lineno}: unknown label {label!r}")
+        ids.append(uid)
+    return tuple(ids)
 
 
 def read_corpus(
@@ -401,14 +399,24 @@ def read_corpus(
     boundary_label: str | None = DEFAULT_BOUNDARY_LABEL,
     source: str = "",
 ) -> Corpus:
-    """Parse corpus lines (one sequence each). See load_corpus."""
+    """Parse corpus lines (one sequence each) in one pass. See load_corpus."""
     if format not in FORMATS:
         raise ContractError(f"unknown corpus format {format!r}")
+    to_id: dict[str, int] = {}
     if format == FORMAT_DAU:
-        raw, vocab = _parse_dau_lines(lines, vocabulary)
+        check = partial(_dau_ids, size=None if vocabulary is None else vocabulary.size)
+    elif vocabulary is None:  # each new label takes the next id
+        check = partial(_symbolic_ids, lookup=lambda label: to_id.setdefault(label, len(to_id)))
     else:
-        raw, vocab = _parse_symbolic_lines(lines, vocabulary, boundary_label)
-    return Corpus(vocab, tuple(UnitSequence(ids) for ids in raw), source=source)
+        if vocabulary.labels is not None:  # the content labels only: a special's must be checked
+            to_id.update(zip(vocabulary.labels, count()))
+        check = partial(_symbolic_ids, lookup=vocabulary._lookup)
+    sequences = tuple(map(UnitSequence, _map_lines(lines, check, to_id)))
+    if vocabulary is None and format == FORMAT_DAU:
+        vocabulary = dau_vocabulary(max(to_id.values(), default=-1) + 1)
+    elif vocabulary is None:  # the labels, in first-appearance order
+        vocabulary = symbolic_vocabulary(to_id, boundary_label)
+    return Corpus(vocabulary, sequences, source=source)
 
 
 def load_corpus(
@@ -421,9 +429,10 @@ def load_corpus(
 
     For ``dau-int`` without a supplied vocabulary the base vocabulary is
     {0..max_id} plus the three specials; for ``symbolic`` it is inferred in
-    first-appearance order. An empty file yields an empty corpus. Malformed
-    tokens and bytes that are not UTF-8 raise ParseError with the line
-    number; out-of-range or reserved ids raise ValidationError.
+    first-appearance order. An empty file yields an empty corpus. The first
+    bad line is named: a token that spells no id (see _ids_of) or bytes
+    that are not UTF-8 raise ParseError; a negative, out-of-range or
+    reserved id, or an unknown or reserved label, raise ValidationError.
     """
     return read_corpus(read_lines(path), format, vocabulary, boundary_label, source=str(path))
 

@@ -245,8 +245,8 @@ def cli_vocabularies(content: int):
 
 def id_texts(table: MergeTable):
     """Token texts, mostly of ids that decode: ids in and around the merged
-    vocabulary spelt as int reads them (``05``, ``+5``, ``1_0``), and texts
-    that are no id."""
+    vocabulary, spelt canonically or as ``int`` would also read them
+    (``05``, ``+5``, ``1_0``), which spell no id, and texts that int rejects."""
     decodable = [t for t in range(table.vocab_size) if not table.base.is_special(t)]
     ids = st.one_of(*[st.sampled_from(decodable)] * 4, st.integers(-2, table.vocab_size + 2)).map(str)
     spelt = ids.flatmap(
@@ -561,15 +561,21 @@ class TestExitCodes:
             ("4 99", "token id 99 outside vocabulary of size 8"),
             ("99 x", "non-integer token 'x'"),
             ("4 -1 x", "non-integer token 'x'"),
-            ("1 +4 99", "token id 99 outside vocabulary of size 8"),
-            ("01 4 3", "token id 4 is a reserved special token"),
+            ("1 2 99", "token id 99 outside vocabulary of size 8"),
+            ("2 4 3", "token id 4 is a reserved special token"),
+            ("1 +4 99", "non-canonical integer token '+4'"),
+            ("01 4 3", "non-canonical integer token '01'"),
         ],
-        ids=["special-then-range", "range-then-parse", "special-range-parse", "plus-sign", "leading-zero"],
+        ids=[
+            "special-then-range", "range-then-parse", "special-range-parse", "known-new-then-range",
+            "first-special-in-line-order", "plus-sign", "leading-zero",
+        ],
     )
     def test_decode_names_a_lines_faults_in_check_order(self, capsys, monkeypatch, trained, tokens, fault):
         # The specials of the 8-token table are 3-5. A line is parsed, then
         # range-checked, then checked for specials, whatever its token order;
         # the valid first line has filled the token texts "0" and "1" first.
+        # An id has one spelling, so "+4" and "01" fail to parse.
         monkeypatch.setattr("sys.stdin", stdin_of(f"0 1\n{tokens}\n"))
         code, out, err = run(capsys, "decode", "--input", "-", "--merges", str(trained))
         assert (code, out, err) == (1, "", f"unitbpe: error: line 2: {fault}\n")
@@ -591,6 +597,18 @@ class TestExitCodes:
         assert out.startswith("sequence_count 1\ntotal_units 3\n")
         monkeypatch.setattr("sys.stdin", stdin_of(f"0 1{sep}x\n"))
         assert run(capsys, "stats", "--input", "-") == (1, "", "unitbpe: error: line 1: non-integer token 'x'\n")
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("0\n1_0 +2 \u0663 05\n", "line 2: non-canonical integer token '1_0'"),
+            (f"0\n1 {'9' * 4301}\n", f"line 2: non-integer token '{'9' * 4301}'"),
+        ],
+        ids=["lax-spellings", "over-4300-digits"],
+    )
+    def test_a_token_that_spells_no_id_is_1_with_line(self, capsys, monkeypatch, text, fault):
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
+        assert run(capsys, "stats", "--input", "-") == (1, "", f"unitbpe: error: {fault}\n")
 
     @pytest.mark.parametrize("fmt", ["dau-int", "symbolic"])
     def test_decode_special_id_is_1_with_line(self, capsys, monkeypatch, tmp_path, fmt):

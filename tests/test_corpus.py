@@ -1,6 +1,7 @@
 """Vocabulary construction, corpus parsing, and boundary splitting."""
 
 import io
+import re
 import time
 
 import pytest
@@ -28,9 +29,10 @@ from unitbpe import (
     symbolic_vocabulary,
     train,
 )
-from unitbpe.codec import read_token_lines
-from unitbpe.corpus import SPECIAL_LABELS, corpus_lines, decode_lines
+from unitbpe.codec import read_token_lines, token_lines
+from unitbpe.corpus import FORMATS, SPECIAL_LABELS, corpus_lines, decode_lines
 from unitbpe.errors import ContractError, UnitBpeError
+from tests.conftest import untrained_tables
 
 
 def write(path, text):
@@ -160,11 +162,13 @@ class TestVocabularies:
         assert parse_merge_table(lines, load_vocabulary(sidecar, boundary_label=None)) == table
 
 
-# Tokens a symbolic line may hold: decimal ids, some past the content ids,
-# and near misses that int() accepts or that read as digits to str.isdigit.
+# Tokens a line may hold: decimal ids, some past the content ids, and near
+# misses that int() accepts or that read as digits to str.isdigit.
 TOKENS = st.one_of(
     st.integers(0, 45).map(str),
-    st.sampled_from(["007", "00", "+1", "-1", "1_0", "\u0663", "\u00b2", "_", "a", *SPECIAL_LABELS]),
+    st.sampled_from([
+        "007", "00", "05", "+1", "-1", "-0", "-05", "1_0", "\u0663", "\u00b2", "_", "a", *SPECIAL_LABELS,
+    ]),
 )
 
 
@@ -330,6 +334,189 @@ class TestCorpusParsing:
         with pytest.raises(UnitBpeError) as err:
             read_corpus(lines, "dau-int", dau_vocabulary(4))
         assert str(err.value) == message
+
+
+# The id spelling rule written out as a pattern, apart from the parsers'
+# own test: ASCII 0, or [1-9][0-9]* after an optional minus sign.
+ID_SPELLING = re.compile(r"0|-?[1-9][0-9]*")
+LAX_SPELLINGS = ["+2", "1_0", "٣", "05", "-0", "-05"]
+FAULTS = st.sampled_from(["x", "²", "q", "-2", "99", *LAX_SPELLINGS, *SPECIAL_LABELS])
+
+
+def spelling_fault(text: str) -> str | None:
+    """Why a token spells no id, in the parsers' words, or None if it does."""
+    try:
+        int(text)
+    except ValueError:
+        return f"non-integer token {text!r}"
+    return None if ID_SPELLING.fullmatch(text) else f"non-canonical integer token {text!r}"
+
+
+def reference_read(lines, fmt, vocab, boundary_label="_"):
+    """read_corpus one token at a time, with nothing remembered between
+    lines but inferred labels: the vocabulary and sequences, or the type
+    and text of the first error."""
+    labels: dict[str, int] = {}
+    sequences = []
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            tokens, ids = line.split(), []
+            if fmt == "dau-int":
+                for token in tokens:
+                    if spelling_fault(token):
+                        raise ParseError(spelling_fault(token), line=lineno)
+                ids = [int(token) for token in tokens]
+                for i in ids:
+                    if i < 0:
+                        raise ValidationError(f"line {lineno}: negative unit id {i}")
+                for i in ids if vocab is not None else []:
+                    if i >= vocab.size:
+                        raise ValidationError(f"line {lineno}: unit id {i} outside vocabulary of size {vocab.size}")
+                    if i >= vocab.size - 3:
+                        raise ValidationError(f"line {lineno}: id {i} is a reserved special token")
+            for token in tokens if fmt == "symbolic" else []:
+                content = [] if vocab is None else [vocab.surface(i) for i in vocab.content_ids()]
+                if token in SPECIAL_LABELS:
+                    raise ValidationError(f"line {lineno}: label {token!r} is a reserved special token")
+                if vocab is None:
+                    ids.append(labels.setdefault(token, len(labels)))
+                elif token in content:
+                    ids.append(content.index(token))
+                else:
+                    raise ValidationError(f"line {lineno}: unknown label {token!r}")
+            sequences.append(tuple(ids))
+    except UnitBpeError as err:
+        return type(err), str(err)
+    if vocab is None and fmt == "dau-int":
+        vocab = dau_vocabulary(max((i for ids in sequences for i in ids), default=-1) + 1)
+    elif vocab is None:
+        vocab = symbolic_vocabulary(list(labels), boundary_label)
+    return vocab, sequences
+
+
+@st.composite
+def corpus_inputs(draw):
+    """A format, no vocabulary or an unlabelled or labelled one, and lines
+    of repeated good tokens, with at most one fault on a random line."""
+    fmt = draw(st.sampled_from(FORMATS))
+    vocab = draw(st.one_of(
+        st.none(),
+        st.integers(0, 8).map(dau_vocabulary),
+        st.lists(st.sampled_from(["a", "b", "_", "0", "1", "05", "+1"]), unique=True, max_size=5).map(
+            lambda labels: symbolic_vocabulary(labels, boundary_label=None)
+        ),
+    ))
+    if vocab is not None:
+        good = [vocab.surface(i) for i in vocab.content_ids()] if fmt == "symbolic" else vocab.content_ids()
+    else:
+        good = ["a", "b", "_", "0", "7"] if fmt == "symbolic" else range(13)
+    good = list(map(str, good))
+    row = st.lists(st.sampled_from(good), max_size=6) if good else st.just([])
+    rows = draw(st.lists(row, max_size=6))
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k].insert(draw(st.integers(0, len(rows[k]))), draw(st.one_of(FAULTS, TOKENS)))
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    return fmt, vocab, [sep.join(row) for row in rows]
+
+
+class TestOneSpelling:
+    """Every parser reads an id one way, each distinct token text once, and
+    agrees with a per-token reference; what it accepts re-saves as read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_inputs())
+    def test_read_corpus_matches_a_per_token_reference(self, inputs):
+        fmt, vocab, lines = inputs
+        try:
+            corpus = read_corpus(lines, fmt, vocab)
+        except UnitBpeError as err:
+            got = type(err), str(err)
+        else:
+            got = corpus.vocabulary, [seq.units for seq in corpus.sequences]
+            assert list(corpus_lines(corpus, fmt)) == [" ".join(line.split()) for line in lines]
+        assert got == reference_read(lines, fmt, vocab)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.integers(-3, 9).map(str), TOKENS, FAULTS), max_size=6), max_size=6))
+    def test_token_lines_match_a_per_token_reference(self, rows):
+        lines = [" ".join(row) for row in rows]
+        faults = [(k, spelling_fault(t)) for k, row in enumerate(rows, start=1) for t in row if spelling_fault(t)]
+        if faults:
+            with pytest.raises(ParseError) as err:
+                read_token_lines(lines)
+            assert str(err.value) == f"line {faults[0][0]}: {faults[0][1]}"
+        else:
+            sequences = read_token_lines(lines)
+            assert [seq.tokens for seq in sequences] == [tuple(map(int, row)) for row in rows]
+            assert list(token_lines(sequences)) == lines
+
+    @settings(max_examples=200, deadline=None)
+    @given(untrained_tables(vocabularies=lambda content: st.just(dau_vocabulary(content))), st.data())
+    def test_merge_file_respelt_fails_on_its_line_or_resaves_as_read(self, table, data):
+        out = io.StringIO()
+        save_merge_table(table, out)
+        lines = out.getvalue().splitlines()
+        k = data.draw(st.sampled_from([1, *range(3, len(lines))]))
+        cols = lines[k].split()
+        j = data.draw(st.integers(0, len(cols) - 1))
+        old = cols[j]
+        cols[j] = data.draw(st.sampled_from([
+            old, "0" + old, "+" + old, old[0] + "_" + old[1:] if old[1:] else "-" + old,
+            old.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+            "x",
+        ]))
+        lines[k] = data.draw(st.sampled_from([" ", "\t", "  "])).join(cols)
+        fault = spelling_fault(cols[j])
+        if fault is None and cols[j] != old:  # "-" before a nonzero id: a negative base or side
+            with pytest.raises(UnitBpeError):
+                parse_merge_table(lines)
+        elif fault is None:
+            assert parse_merge_table(lines) == table
+            again = io.StringIO()
+            save_merge_table(parse_merge_table(lines), again)
+            assert again.getvalue().splitlines() == [" ".join(line.split()) for line in lines]
+        else:
+            canonical = fault.startswith("non-canonical")
+            with pytest.raises(ParseError) as err:
+                parse_merge_table(lines)
+            if k == 1:
+                spelt = "a canonical integer" if canonical else "an integer"
+                assert str(err.value) == f"line 2: base vocabulary size must be {spelt}, got {lines[1]!r}"
+            else:
+                field = "non-canonical" if canonical else "non-integer"
+                assert str(err.value) == f"line {k + 1}: {field} field in merge row {lines[k]!r}"
+
+    @pytest.mark.parametrize("text", LAX_SPELLINGS)
+    def test_each_lax_spelling_is_no_id_to_any_parser(self, text):
+        lines = ["1", f"1 {text}"]
+        for parse in (
+            lambda: read_corpus(lines, "dau-int"),
+            lambda: read_corpus(lines, "dau-int", dau_vocabulary(9)),
+            lambda: read_token_lines(lines),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse()
+            assert str(err.value) == f"line 2: non-canonical integer token {text!r}"
+        with pytest.raises(ValidationError) as err:
+            read_corpus(lines, "symbolic", dau_vocabulary(9))
+        assert str(err.value) == f"line 2: unknown label {text!r}"
+        with pytest.raises(ValidationError):
+            dau_vocabulary(9).id_of(text)
+        with pytest.raises(ParseError) as err:
+            parse_merge_table(["unitbpe-v1", text, ""])
+        assert str(err.value) == f"line 2: base vocabulary size must be a canonical integer, got {text!r}"
+        with pytest.raises(ParseError) as err:
+            parse_merge_table(["unitbpe-v1", "6", "", f"0 0 1 {text}"])
+        assert str(err.value) == f"line 4: non-canonical field in merge row '0 0 1 {text}'"
+
+    def test_a_canonical_id_too_long_for_int_is_a_parse_fault(self):
+        # int() refuses more than 4,300 digits, so such a token is no id.
+        big = "9" * 4301
+        for parse in (lambda lines: read_corpus(lines, "dau-int"), read_token_lines):
+            with pytest.raises(ParseError) as err:
+                parse(["0", f"1 {big}"])
+            assert str(err.value) == f"line 2: non-integer token {big!r}"
 
 
 class TestLineEnds:

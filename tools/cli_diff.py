@@ -144,6 +144,11 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("error-utf8-merges", "encode --input c.txt --merges utf8.bpe", None),
     ("error-utf8-stdin", "encode --input - --merges t.bpe", "utf8.txt"),
     ("error-separator-in-line", "stats --input ff.txt", None),
+    # an id has one spelling: each of these tokens int() would read
+    ("error-lax-spellings", "stats --input lax.txt", None),
+    ("error-plus-sign-base", "encode --input c.txt --merges plus.bpe", None),
+    ("error-plus-sign-row", "encode --input c.txt --merges plus-row.bpe", None),
+    ("error-leading-zero-symbolic", "encode --input zero.txt --format symbolic --merges t.bpe", None),
     *((f"error-threads-{command.replace(' --', '-')}", f"{command} --input c.txt {args} --threads 0", None)
       for command, args in (
           ("train", "--target-size 8"), ("train --oracle", "--target-size 8"), ("encode", "--merges t.bpe"),
@@ -184,6 +189,10 @@ FIXED = {
     "blocked.txt": b"1 2 _ 1 2 _ 1 2\n",
     "crlf.txt": b"0 1 0 1\r\n2 0\r\n\r\n1 1\r\n",
     "ff.txt": b"0 1\x0cx\n",
+    "lax.txt": "0 1\n1_0 +2 \u0663 05\n".encode(),
+    "plus.bpe": b"unitbpe-v1\n+6\n\n0 0 +1 6\n",
+    "plus-row.bpe": b"unitbpe-v1\n6\n\n0 0 +1 6\n",
+    "zero.txt": b"0 1\n05\n",
     "bad.txt": b"1 2\n3 four\n",
     "utf8.txt": b"1 2\n3 \xff4\n",
     "utf8.bpe": b"unitbpe-v1\n\xff6\n\n",
