@@ -35,7 +35,8 @@ from operator import index
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
-from .corpus import BaseVocabulary, Corpus, Record, _ids_of, read_lines, split_chunks, symbolic_vocabulary, write_lines
+from .corpus import BaseVocabulary, Corpus, Record, _ids_of, parse_id_line, read_lines, split_chunks
+from .corpus import symbolic_vocabulary, write_lines
 from .errors import ContractError, ParseError, ValidationError
 
 MERGE_FILE_MAGIC = "unitbpe-v1"
@@ -335,28 +336,31 @@ def save_merge_table(table: MergeTable, dest: str | Path | IO[str]) -> None:
 def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = None) -> MergeTable:
     """Build a MergeTable from merge-file lines, validating every invariant.
 
-    The rows are read in one walk, which names the first malformed row as
-    it meets it; the rules are checked once every row has parsed, and a
-    broken rule names its line. When no vocabulary is supplied a
-    boundary-free table gets the unlabelled one of its base size (numeric
-    labels plus the standard specials); tables that record a boundary label
-    need the real vocabulary. The table's base takes line 3's boundary,
-    whatever the given vocabulary's is, so a table reads back equal to the
-    one saved. The label is looked up in the vocabulary as given; one it
-    lacks is appended last if the vocabulary is one unit short, as
-    ``train --vocab`` appends it to a sidecar without it, and is otherwise
-    a ValidationError naming line 3.
+    One spelling check reads every field of the rows at once. Only when it
+    fails, or a row has other than 4 fields, does a walk run, to name the
+    first bad row: a wrong field count, else its first token that spells no
+    id, reported as a token line's is (see parse_id_line). The rules are
+    checked once every row has parsed, and a broken rule names its line.
+    When no vocabulary is supplied a boundary-free table gets the unlabelled
+    one of its base size (numeric labels plus the standard specials); tables
+    that record a boundary label need the real vocabulary. The table's base
+    takes line 3's boundary, whatever the given vocabulary's is, so a table
+    reads back equal to the one saved. The label is looked up in the
+    vocabulary as given; one it lacks is appended last if the vocabulary is
+    one unit short, as ``train --vocab`` appends it to a sidecar without it,
+    and is otherwise a ValidationError naming line 3.
     """
     rows = [ln.rstrip("\n").rstrip("\r") for ln in lines]
     if not rows or rows[0] != MERGE_FILE_MAGIC:
         raise ParseError(f"missing magic header {MERGE_FILE_MAGIC!r}", line=1)
     if len(rows) < 3:
         raise ParseError("truncated header: need base size and boundary label lines", line=len(rows))
-    try:
-        spelt = _ids_of([rows[1].strip()])
-    except ValueError:
-        raise ParseError(f"base vocabulary size must be an integer, got {rows[1]!r}", line=2) from None
+    spelt = _ids_of([rows[1].strip()])
     if spelt is None:
+        try:
+            int(rows[1])
+        except ValueError:
+            raise ParseError(f"base vocabulary size must be an integer, got {rows[1]!r}", line=2) from None
         raise ParseError(f"base vocabulary size must be a canonical integer, got {rows[1]!r}", line=2)
     (base_size,) = spelt
     if base_size < 0:
@@ -379,20 +383,16 @@ def parse_merge_table(lines: Sequence[str], vocabulary: BaseVocabulary | None = 
     if boundary != vocabulary.boundary:
         vocabulary = BaseVocabulary(base_size, vocabulary.labels, boundary)
 
-    merges = []
-    for lineno, row in enumerate(rows[3:], start=4):
-        cols = row.split()
-        if len(cols) != 4:
-            raise ParseError(f"expected 4 fields, got {len(cols)}" if cols else "blank merge row", line=lineno)
-        try:
-            ids = _ids_of(cols)
-        except ValueError:
-            raise ParseError(f"non-integer field in merge row {row!r}", line=lineno) from None
-        if ids is None:
-            raise ParseError(f"non-canonical field in merge row {row!r}", line=lineno)
-        merges.append(Merge._make(ids))
+    body = rows[3:]
+    ids = _ids_of(" ".join(body).split())
+    if ids is None or not set(map(len, map(str.split, body))) <= {4}:
+        for lineno, row in enumerate(body, start=4):  # name the first bad row
+            fields = len(row.split())
+            if fields != 4:
+                raise ParseError(f"expected 4 fields, got {fields}" if fields else "blank merge row", line=lineno)
+            parse_id_line(row, lineno)
     try:
-        return MergeTable(vocabulary, tuple(merges))
+        return MergeTable(vocabulary, tuple(map(Merge._make, zip(*[iter(ids)] * 4))))
     except ValidationError as err:
         if err.rule is None:
             raise

@@ -173,10 +173,7 @@ class BaseVocabulary(Record):
             return self._surface_to_id.get(label)
         if label in _RESERVED:
             return self.size - 3 + SPECIAL_LABELS.index(label)
-        try:
-            ids = _ids_of([label])
-        except ValueError:
-            return None
+        ids = _ids_of([label])
         return ids[0] if ids and 0 <= ids[0] < self.size - 3 else None
 
     def surface(self, unit_id: int) -> str:
@@ -323,11 +320,14 @@ class Corpus(Record):
 
 
 def _ids_of(texts: list[str]) -> tuple[int, ...] | None:
-    """The ids ``texts`` spell, or None if one is an integer spelt another
-    way. An id is spelt as ``str`` prints it: ASCII ``0`` or ``[1-9][0-9]*``,
-    after a ``-`` if nonzero. So ``+2``, ``1_0``, ``\u0663``, ``05``, ``-0``
-    and ``-05`` spell no id. A text that ``int`` rejects raises its ValueError."""
-    ids = tuple(map(int, texts))
+    """The ids ``texts`` spell, or None if one spells no id. An id is spelt
+    as ``str`` prints it: ASCII ``0`` or ``[1-9][0-9]*``, after a ``-`` if
+    nonzero. So ``+2``, ``1_0``, ``\u0663``, ``05``, ``-0``, ``-05`` and a
+    text that ``int`` rejects spell no id."""
+    try:
+        ids = tuple(map(int, texts))
+    except ValueError:
+        return None
     return ids if list(map(str, ids)) == texts else None
 
 
@@ -335,16 +335,14 @@ def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
     """The ids of one line's whitespace-separated tokens (see _ids_of). The
     first token that spells no id raises ParseError naming it and the line."""
     texts = line.split()
-    try:
-        ids = _ids_of(texts)
-    except ValueError:
-        ids = None
+    ids = _ids_of(texts)
     for tok in texts if ids is None else ():  # name the first token that spells no id
         try:
-            if _ids_of([tok]) is None:
-                raise ParseError(f"non-canonical integer token {tok!r}", line=lineno)
+            int(tok)
         except ValueError:
             raise ParseError(f"non-integer token {tok!r}", line=lineno) from None
+        if _ids_of([tok]) is None:
+            raise ParseError(f"non-canonical integer token {tok!r}", line=lineno)
     return ids
 
 

@@ -332,7 +332,8 @@ class TestMergeFileErrors:
             ("", ParseError, "line 5: blank merge row", 5),
             ("1 7 2", ParseError, "line 5: expected 4 fields, got 3", 5),
             ("1 7 2 8 9", ParseError, "line 5: expected 4 fields, got 5", 5),
-            ("1 7 x 8", ParseError, "line 5: non-integer field in merge row '1 7 x 8'", 5),
+            ("1 7 x 8", ParseError, "line 5: non-integer token 'x'", 5),
+            ("1 07 x 8", ParseError, "line 5: non-canonical integer token '07'", 5),
             ("2 7 2 8", ValidationError, "line 5: merge rank 2 at position 1: ranks must be dense", None),
             ("1 7 2 9", ValidationError, "line 5: merge 1: result 9 != base size 7 + rank 1", None),
             ("1 8 2 8", ValidationError, "line 5: merge 1: token id 8 not yet defined", None),
@@ -341,8 +342,9 @@ class TestMergeFileErrors:
             ("1 7 3 8", ValidationError, "line 5: merge 1: boundary unit 3 may not be merged", None),
             ("1 0 1 8", ValidationError, "line 5: merge 1: duplicate pair (0, 1)", None),
         ],
-        ids=["blank", "3-fields", "5-fields", "non-integer", "rank-not-dense", "result-not-base-plus-rank",
-             "undefined-side", "negative-side", "special-side", "boundary-side", "duplicate-pair"],
+        ids=["blank", "3-fields", "5-fields", "non-integer", "first-bad-token-in-order", "rank-not-dense",
+             "result-not-base-plus-rank", "undefined-side", "negative-side", "special-side", "boundary-side",
+             "duplicate-pair"],
     )
     def test_bad_row_on_line_5(self, row, error, message, line):
         vocab = letters("a", "b", "c", boundary="_")
@@ -375,14 +377,14 @@ class TestMergeFileErrors:
         lines = [*_VALID_FILE[:4], "1 7 x 8", "2 8 0", ""]
         with pytest.raises(ParseError) as err:
             parse_merge_table(lines, letters("a", "b", "c", boundary="_"))
-        assert str(err.value) == "line 5: non-integer field in merge row '1 7 x 8'"
+        assert str(err.value) == "line 5: non-integer token 'x'"
 
     def test_a_parse_fault_comes_before_an_earlier_rule_fault(self):
         # Line 5 breaks a rule and line 7 does not parse: the parse fault is named.
         lines = [*_VALID_FILE[:4], "1 0 1 8", "2 8 0 9", "3 9 y 10"]
         with pytest.raises(ParseError) as err:
             parse_merge_table(lines, letters("a", "b", "c", boundary="_"))
-        assert str(err.value) == "line 7: non-integer field in merge row '3 9 y 10'"
+        assert str(err.value) == "line 7: non-integer token 'y'"
         assert err.value.line == 7
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from unitbpe import (
     BaseVocabulary,
     Corpus,
+    Merge,
+    MergeTable,
     ParseError,
     TrainOptions,
     UnitSequence,
@@ -420,6 +422,61 @@ def corpus_inputs(draw):
     return fmt, vocab, [sep.join(row) for row in rows]
 
 
+def reference_merge_parse(lines, vocab):
+    """parse_merge_table's rows read one at a time: each row's field count,
+    then its tokens in order, and the rules only once every row has parsed.
+    The table, or the type, text, line and rule of the first error."""
+    for lineno, row in enumerate(lines[3:], start=4):
+        fields = row.split()
+        if len(fields) != 4:
+            fault = f"expected 4 fields, got {len(fields)}" if fields else "blank merge row"
+            return ParseError, f"line {lineno}: {fault}", lineno, None
+        for field in fields:
+            if spelling_fault(field):
+                return ParseError, f"line {lineno}: {spelling_fault(field)}", lineno, None
+    merges = tuple(Merge(*map(int, row.split())) for row in lines[3:])
+    try:
+        return MergeTable(vocab, merges)
+    except ValidationError as err:
+        return ValidationError, f"line {err.rule + 4}: {err}", None, err.rule
+
+
+ROW_FAULTS = st.sampled_from(["blank", "one-fewer", "one-more", "x", *LAX_SPELLINGS, "9" * 4301])
+
+
+@st.composite
+def faulted_merge_files(draw):
+    """A saved valid table and its lines with up to 3 faults on random rows
+    (a row may take two), and sometimes a rule broken on a row before the
+    first faulted one."""
+    table = draw(untrained_tables(vocabularies=lambda content: st.sampled_from([
+        dau_vocabulary(content), symbolic_vocabulary([f"u{i}" for i in range(content)], "_"),
+    ])))
+    out = io.StringIO()
+    save_merge_table(table, out)
+    lines = out.getvalue().splitlines()
+    body = range(3, len(lines))
+    faulted = draw(st.lists(st.sampled_from(body), max_size=3)) if body else []
+    for k in faulted:
+        fields, fault = lines[k].split(), draw(ROW_FAULTS)
+        j = draw(st.integers(0, max(len(fields) - 1, 0)))
+        if fault == "blank":
+            fields = []
+        elif fault == "one-fewer":
+            del fields[j:j + 1]
+        elif fault == "one-more":
+            fields.insert(j, draw(st.sampled_from(["0", "x", "05"])))
+        else:
+            fields[j:j + 1] = [fault]
+        lines[k] = " ".join(fields)
+    earlier = range(3, min(faulted, default=len(lines)))
+    if earlier and draw(st.booleans()):
+        k = draw(st.sampled_from(earlier))
+        rank, left, right, result = lines[k].split()
+        lines[k] = f"{int(rank) + 1} {left} {right} {result}"  # ranks must be dense
+    return table, lines
+
+
 class TestOneSpelling:
     """Every parser reads an id one way, each distinct token text once, and
     agrees with a per-token reference; what it accepts re-saves as read."""
@@ -477,27 +534,26 @@ class TestOneSpelling:
             save_merge_table(parse_merge_table(lines), again)
             assert again.getvalue().splitlines() == [" ".join(line.split()) for line in lines]
         else:
-            canonical = fault.startswith("non-canonical")
             with pytest.raises(ParseError) as err:
                 parse_merge_table(lines)
             if k == 1:
-                spelt = "a canonical integer" if canonical else "an integer"
+                spelt = "a canonical integer" if fault.startswith("non-canonical") else "an integer"
                 assert str(err.value) == f"line 2: base vocabulary size must be {spelt}, got {lines[1]!r}"
             else:
-                field = "non-canonical" if canonical else "non-integer"
-                assert str(err.value) == f"line {k + 1}: {field} field in merge row {lines[k]!r}"
+                assert str(err.value) == f"line {k + 1}: {fault}"
 
     @pytest.mark.parametrize("text", LAX_SPELLINGS)
     def test_each_lax_spelling_is_no_id_to_any_parser(self, text):
         lines = ["1", f"1 {text}"]
-        for parse in (
-            lambda: read_corpus(lines, "dau-int"),
-            lambda: read_corpus(lines, "dau-int", dau_vocabulary(9)),
-            lambda: read_token_lines(lines),
+        for parse, line in (
+            (lambda: read_corpus(lines, "dau-int"), 2),
+            (lambda: read_corpus(lines, "dau-int", dau_vocabulary(9)), 2),
+            (lambda: read_token_lines(lines), 2),
+            (lambda: parse_merge_table(["unitbpe-v1", "6", "", f"0 0 1 {text}"]), 4),
         ):
             with pytest.raises(ParseError) as err:
                 parse()
-            assert str(err.value) == f"line 2: non-canonical integer token {text!r}"
+            assert str(err.value) == f"line {line}: non-canonical integer token {text!r}"
         with pytest.raises(ValidationError) as err:
             read_corpus(lines, "symbolic", dau_vocabulary(9))
         assert str(err.value) == f"line 2: unknown label {text!r}"
@@ -506,9 +562,19 @@ class TestOneSpelling:
         with pytest.raises(ParseError) as err:
             parse_merge_table(["unitbpe-v1", text, ""])
         assert str(err.value) == f"line 2: base vocabulary size must be a canonical integer, got {text!r}"
-        with pytest.raises(ParseError) as err:
-            parse_merge_table(["unitbpe-v1", "6", "", f"0 0 1 {text}"])
-        assert str(err.value) == f"line 4: non-canonical field in merge row '0 0 1 {text}'"
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulted_merge_files())
+    def test_merge_file_faults_match_a_per_row_reference(self, inputs):
+        table, lines = inputs
+        try:
+            got = parse_merge_table(lines, table.base)
+        except UnitBpeError as err:
+            got = type(err), str(err), getattr(err, "line", None), getattr(err, "rule", None)
+        expected = reference_merge_parse(lines, table.base)
+        assert got == expected
+        if isinstance(expected, MergeTable):
+            assert got == table
 
     def test_a_canonical_id_too_long_for_int_is_a_parse_fault(self):
         # int() refuses more than 4,300 digits, so such a token is no id.

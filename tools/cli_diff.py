@@ -149,6 +149,11 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("error-plus-sign-base", "encode --input c.txt --merges plus.bpe", None),
     ("error-plus-sign-row", "encode --input c.txt --merges plus-row.bpe", None),
     ("error-leading-zero-symbolic", "encode --input zero.txt --format symbolic --merges t.bpe", None),
+    # a merge row's field count is named before its tokens, and a row that
+    # does not parse before an earlier row's broken rule
+    ("error-row-fields-before-token", "encode --input c.txt --merges short-row.bpe", None),
+    ("error-row-parse-before-rule", "encode --input c.txt --merges parse-after-rule.bpe", None),
+    ("error-row-huge-field", "encode --input c.txt --merges huge-field.bpe", None),
     *((f"error-threads-{command.replace(' --', '-')}", f"{command} --input c.txt {args} --threads 0", None)
       for command, args in (
           ("train", "--target-size 8"), ("train --oracle", "--target-size 8"), ("encode", "--merges t.bpe"),
@@ -192,6 +197,9 @@ FIXED = {
     "lax.txt": "0 1\n1_0 +2 \u0663 05\n".encode(),
     "plus.bpe": b"unitbpe-v1\n+6\n\n0 0 +1 6\n",
     "plus-row.bpe": b"unitbpe-v1\n6\n\n0 0 +1 6\n",
+    "short-row.bpe": b"unitbpe-v1\n6\n\n0 0 1 6\n1 6 x\n",
+    "parse-after-rule.bpe": b"unitbpe-v1\n6\n\n0 0 1 6\n1 0 1 7\n2 6 2 8\n3 8 y 9\n",
+    "huge-field.bpe": b"unitbpe-v1\n6\n\n0 0 1 6\n1 6 2 7\n2 7 0 " + b"9" * 4301 + b"\n",
     "zero.txt": b"0 1\n05\n",
     "bad.txt": b"1 2\n3 four\n",
     "utf8.txt": b"1 2\n3 \xff4\n",
