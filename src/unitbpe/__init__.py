@@ -31,13 +31,11 @@ from .corpus import (
     UnitSequence,
     corpus_stats,
     dau_vocabulary,
-    join_chunks,
     load_corpus,
     load_vocabulary,
     read_corpus,
     save_corpus,
     save_vocabulary,
-    split_on_boundaries,
     symbolic_vocabulary,
 )
 from .errors import ContractError, ParseError, UnitBpeError, ValidationError

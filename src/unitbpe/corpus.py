@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 from itertools import count, filterfalse
-from operator import attrgetter
+from operator import attrgetter, eq
 from pathlib import Path
 from typing import IO, AbstractSet, Callable, Iterable, Iterator
 
@@ -328,7 +328,7 @@ def _ids_of(texts: list[str]) -> tuple[int, ...] | None:
         ids = tuple(map(int, texts))
     except ValueError:
         return None
-    return ids if list(map(str, ids)) == texts else None
+    return ids if all(map(eq, map(str, ids), texts)) else None
 
 
 def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
@@ -460,8 +460,8 @@ def save_corpus(corpus: Corpus, dest: str | Path | IO[str], format: str) -> None
 
 
 def split_chunks(units: tuple[int, ...], blocked: AbstractSet[int]) -> Iterator[tuple[int, ...]]:
-    """The runs of units between blocked ids, in order, empty runs included:
-    a sequence with n blocked units yields n + 1 chunks."""
+    """The n + 1 runs between the n blocked ids in ``units``, empty runs
+    included; interleaved with a lone blocked id, they give ``units`` back."""
     if not blocked or blocked.isdisjoint(units):
         yield units
         return
@@ -471,27 +471,6 @@ def split_chunks(units: tuple[int, ...], blocked: AbstractSet[int]) -> Iterator[
             yield units[start:k]
             start = k + 1
     yield units[start:]
-
-
-def split_on_boundaries(seq: UnitSequence, vocabulary: BaseVocabulary) -> list[UnitSequence]:
-    """Split a sequence at every boundary unit, dropping the boundaries.
-
-    Empty chunks are preserved, so n boundaries always yield n+1 chunks and
-    join_chunks inverts the split exactly.
-    """
-    if vocabulary.boundary is None:
-        raise ContractError("vocabulary has no boundary unit")
-    return list(map(UnitSequence, split_chunks(seq.units, {vocabulary.boundary})))
-
-
-def join_chunks(chunks: Iterable[UnitSequence], boundary: int) -> UnitSequence:
-    """Inverse of split_on_boundaries: interleave chunks with the boundary."""
-    out: list[int] = []
-    for i, chunk in enumerate(chunks):
-        if i:
-            out.append(boundary)
-        out.extend(chunk.units)
-    return UnitSequence(tuple(out))
 
 
 class CorpusStats(Record):

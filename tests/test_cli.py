@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -56,6 +57,13 @@ def run_fresh(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
+def symbolic_words() -> str:
+    """60 lines of 2 to 8 words drawn with seed 3, with `_` between words."""
+    rng = random.Random(3)
+    words = ["k ae t", "d ao g", "k ae t s", "ae t", "t ae k", "g ao d", "d ae d"]
+    return "".join(" _ ".join(rng.choice(words) for _ in range(rng.randint(2, 8))) + "\n" for _ in range(60))
+
+
 def imported_modules(*args: str) -> set[str]:
     """The modules a fresh interpreter imports: -X importtime writes one
     stderr line per module."""
@@ -100,12 +108,46 @@ class TestTrain:
         assert code == 0
         assert out.startswith("unitbpe-v1\n")
 
-    def test_oracle_flag_matches_fast_path(self, capsys, tmp_path, dau_corpus):
-        a, b = tmp_path / "a.bpe", tmp_path / "b.bpe"
-        assert run(capsys, "train", "--input", str(dau_corpus), "--target-size", "8", "--out", str(a))[0] == 0
-        assert run(capsys, "train", "--input", str(dau_corpus), "--target-size", "8",
-                   "--oracle", "--out", str(b))[0] == 0
-        assert a.read_bytes() == b.read_bytes()
+    # The trainer and the encoder against their reference versions, byte for
+    # byte. Each case names its corpus, the target size, train's own flags
+    # and what to encode: the corpus, or its first 10 lines twice, then an
+    # empty line and a one-unit line. A symbolic case reads its sidecar from
+    # v.vocab; the last one writes it without `_` first, so loading the
+    # table appends line 3's label to it as training did.
+    @pytest.mark.parametrize(
+        "corpus, target, train_flags, repeats",
+        [
+            ("small", 8, (), False),
+            ("zipf", 300, (), False),
+            ("zipf", 300, (), True),
+            ("words", 20, ("--save-vocab", "v.vocab"), False),
+            ("words", 30, ("--no-boundary", "--save-vocab", "v.vocab"), False),
+            ("words", 20, ("--vocab", "v.vocab"), False),
+        ],
+        ids=["dau-int-small", "dau-int", "dau-int-repeats", "symbolic", "symbolic-no-boundary",
+             "sidecar-without-boundary"],
+    )
+    def test_oracle_flag_matches_fast_path(self, capsys, monkeypatch, tmp_path, corpus, target, train_flags, repeats):
+        monkeypatch.chdir(tmp_path)
+        if corpus == "zipf":
+            assert run(capsys, "synth", "zipf", "--seed", "5", "--vocab-size", "40", "--sequences", "40",
+                       "--length", "200", "--out", "c.txt")[0] == 0
+        else:
+            Path("c.txt").write_text("0 1 0 1 2\n2 0 1 0 1\n0 1 2 2\n" if corpus == "small" else symbolic_words())
+        text = Path("c.txt").read_text()
+        codec_flags = ("--format", "symbolic", "--vocab", "v.vocab") if corpus == "words" else ()
+        if "--vocab" in train_flags:
+            Path("v.vocab").write_text("".join(f"{label}\n" for label in dict.fromkeys(text.split()) if label != "_"))
+        Path("e.txt").write_text("".join(text.splitlines(keepends=True)[:10] * 2) + "\n7\n" if repeats else text)
+        for oracle, suffix in (((), ""), (("--oracle",), ".oracle")):
+            assert run(capsys, "train", "--input", "c.txt", *codec_flags[:2], *train_flags,
+                       "--target-size", str(target), *oracle, "--out", f"m{suffix}.bpe")[0] == 0
+            assert run(capsys, "encode", "--input", "e.txt", "--merges", "m.bpe", *codec_flags, *oracle,
+                       "--out", f"t{suffix}.txt")[0] == 0
+        assert Path("m.bpe").read_bytes() == Path("m.oracle.bpe").read_bytes()
+        assert Path("t.txt").read_bytes() == Path("t.oracle.txt").read_bytes()
+        assert run(capsys, "decode", "--input", "t.txt", "--merges", "m.bpe", *codec_flags, "--out", "d.txt")[0] == 0
+        assert Path("d.txt").read_bytes() == Path("e.txt").read_bytes()
 
     def test_save_vocab_sidecar(self, capsys, tmp_path):
         corpus = tmp_path / "p.txt"

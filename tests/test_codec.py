@@ -21,11 +21,11 @@ from unitbpe import (
     encode_corpus,
     naive_encode,
     read_corpus,
-    split_on_boundaries,
     symbolic_vocabulary,
     train,
 )
 from unitbpe.codec import read_token_lines, token_lines
+from unitbpe.corpus import split_chunks
 from tests.conftest import random_corpus, random_sequence
 
 
@@ -163,7 +163,7 @@ class TestEncodeCorpus:
         if boundary_label is None:
             chunks = {seq.units for seq in corpus.sequences}
         else:
-            chunks = {c.units for seq in corpus.sequences for c in split_on_boundaries(seq, vocab)}
+            chunks = {c for seq in corpus.sequences for c in split_chunks(seq.units, {vocab.boundary})}
         assert sorted(calls) == sorted(chunks)
 
     def test_a_one_chunk_sequence_holds_the_memos_tuple(self):
@@ -201,10 +201,10 @@ class TestRoundTrip:
             corpus = random_corpus(rng, with_boundary=True)
             vocab = corpus.vocabulary
             table = train(corpus, TrainOptions(target_size=len(vocab) + 10))
+            b = vocab.boundary
             for seq in corpus.sequences:
-                tokens = encode(seq, table)
-                restored = decode(tokens, table)
-                assert split_on_boundaries(restored, vocab) == split_on_boundaries(seq, vocab)
+                runs = [encode(UnitSequence(run), table).tokens for run in split_chunks(seq.units, {b})]
+                assert encode(seq, table).tokens == sum(((b, *run) for run in runs[1:]), runs[0])
 
 
 class TestTokenLines:

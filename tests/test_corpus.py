@@ -19,7 +19,6 @@ from unitbpe import (
     ValidationError,
     corpus_stats,
     dau_vocabulary,
-    join_chunks,
     load_corpus,
     load_vocabulary,
     parse_merge_table,
@@ -27,12 +26,11 @@ from unitbpe import (
     save_corpus,
     save_merge_table,
     save_vocabulary,
-    split_on_boundaries,
     symbolic_vocabulary,
     train,
 )
 from unitbpe.codec import read_token_lines, token_lines
-from unitbpe.corpus import FORMATS, SPECIAL_LABELS, corpus_lines, decode_lines
+from unitbpe.corpus import FORMATS, SPECIAL_LABELS, corpus_lines, decode_lines, split_chunks
 from unitbpe.errors import ContractError, UnitBpeError
 from tests.conftest import untrained_tables
 
@@ -650,24 +648,32 @@ class TestErrors:
 
 class TestBoundarySplitting:
     def test_split_and_join_inverse(self):
-        vocab = symbolic_vocabulary(["a", "b"])
-        b = vocab.boundary
-        seq = UnitSequence((0, 1, b, b, 0, b))
-        chunks = split_on_boundaries(seq, vocab)
-        assert [c.units for c in chunks] == [(0, 1), (), (0,), ()]
-        assert join_chunks(chunks, b) == seq
-
-    def test_split_requires_boundary(self):
-        vocab = symbolic_vocabulary(["a"], boundary_label=None)
-        with pytest.raises(ContractError):
-            split_on_boundaries(UnitSequence((0,)), vocab)
+        b = symbolic_vocabulary(["a", "b"]).boundary
+        units = (0, 1, b, b, 0, b)
+        runs = list(split_chunks(units, {b}))
+        assert runs == [(0, 1), (), (0,), ()]
+        assert sum(((b, *run) for run in runs[1:]), runs[0]) == units
 
     def test_boundary_count_yields_one_more_chunk(self):
-        vocab = symbolic_vocabulary(["a"])
-        b = vocab.boundary
+        b = symbolic_vocabulary(["a"]).boundary
         for n in range(5):
-            seq = UnitSequence(tuple([0] + [b] * n))
-            assert len(split_on_boundaries(seq, vocab)) == n + 1
+            assert len(list(split_chunks((0,) + (b,) * n, {b}))) == n + 1
+
+    # encode_corpus passes an empty set for a table without a boundary.
+    @pytest.mark.parametrize("blocked", [set(), {7, 8}], ids=["empty-set", "disjoint-set"])
+    def test_without_a_blocked_unit_the_one_run_is_the_input(self, blocked):
+        units = (0, 1, 2, 0)
+        runs = list(split_chunks(units, blocked))
+        assert len(runs) == 1
+        assert runs[0] is units
+
+    def test_splits_at_each_of_several_blocked_ids(self):
+        # bpe.train blocks the specials and the boundary together.
+        vocab = symbolic_vocabulary(["a", "b"])
+        pad, bos, eos = sorted(vocab.special)
+        b = vocab.boundary
+        units = (bos, 0, 1, b, 1, eos, pad, 0)
+        assert list(split_chunks(units, vocab.special | {b})) == [(), (0, 1), (1,), (), (0,)]
 
 
 class TestCorpusStats:
