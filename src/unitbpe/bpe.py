@@ -21,7 +21,9 @@ contract is defined by equivalence with the reference implementation that
 rescans the corpus every iteration (see the oracle module).
 
 A merge table's validating walk builds its packed rule index. Its surface
-map sums each merged token's length once, then builds surfaces on lookup.
+map sums each merged token's length once, then builds surfaces on lookup:
+a token whose halves are both base ids or stored is the two joined, and only
+the others are walked through the rules.
 """
 
 from __future__ import annotations
@@ -145,9 +147,11 @@ class _Surfaces(dict):
     """Token id -> its surface as base unit ids, filled on first lookup.
 
     ``lengths`` maps each merged token to its surface length, summed from
-    its halves'. A miss range-checks the id and walks the rules depth first,
-    taking whole a stored surface and copying the span first written for a
-    merged id met again. Only looked-up ids are stored, none per base id.
+    its halves'. A miss range-checks the id. A merged token whose halves are
+    both base ids or stored is their two surfaces joined; any other walks the
+    rules depth first, taking whole a stored surface and copying the span
+    first written for a merged id met again. Only looked-up ids are stored,
+    none per base id, and a miss keeps no state for the next one.
     """
 
     __slots__ = ("merges", "base", "size", "lengths")
@@ -163,9 +167,17 @@ class _Surfaces(dict):
         if not 0 <= token_id < self.size:
             raise ValidationError(f"token id {token_id} outside vocabulary of size {self.size}")
         base, merges, lengths, get = self.base, self.merges, self.lengths, self.get
+        stack = [token_id]
+        if token_id >= base:
+            _, a, b, _ = merges[token_id - base]
+            left = (a,) if a < base else get(a)
+            right = (b,) if b < base else get(b)
+            if left is not None and right is not None:
+                surface = self[token_id] = left + right
+                return surface
+            stack = [b, a]
         units: list[int] = []
         written: dict[int, int] = {}  # merged id -> where this walk first wrote it
-        stack = [token_id]
         while stack:
             t = stack.pop()
             if t < base:
@@ -176,8 +188,8 @@ class _Surfaces(dict):
                 units += units[written[t]:written[t] + lengths[t]]
             else:
                 written[t] = len(units)
-                m = merges[t - base]
-                stack += (m.right, m.left)
+                _, a, b, _ = merges[t - base]
+                stack += (b, a)
         surface = self[token_id] = tuple(units)
         return surface
 

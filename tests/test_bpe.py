@@ -2,6 +2,8 @@
 
 import io
 import random
+import sys
+import threading
 
 import pytest
 
@@ -185,6 +187,41 @@ class TestMergeTableInvariants:
         table = MergeTable(vocab, (Merge(0, 0, 1, n), Merge(1, n, 2, n + 1)))
         assert table.token_surface(n + 1) == (0, 1, 2)
         assert table.token_label(n + 1) == "a+b+c"
+
+    def test_threads_sharing_a_fresh_table_each_read_the_plain_expansion(self):
+        # Fibonacci-shaped rules, so a walk meets merged ids many times over
+        # and runs long enough for the two threads to interleave.
+        vocab = letters("a", "b")
+        n = vocab.size
+        merges = [Merge(0, 0, 1, n), Merge(1, n, 0, n + 1)]
+        merges += [Merge(r, n + r - 1, n + r - 2, n + r) for r in range(2, 22)]
+        expected = {0: (0,), 1: (1,)}
+        for _, a, b, t in merges:
+            expected[t] = expected[a] + expected[b]
+        # Both threads walk down from the longest token at once, over the
+        # same ids; the second then reads each token after both its halves.
+        orders = [list(range(n + 21, n - 1, -1)), [*range(n + 21, n - 1, -2), 0, 1, *range(n, n + 22)]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                table = MergeTable(vocab, tuple(merges))
+                start = threading.Barrier(2)
+                read = [None, None]
+
+                def look_up(i):
+                    start.wait(timeout=10)
+                    read[i] = [table.token_surface(t) for t in orders[i]]
+
+                threads = [threading.Thread(target=look_up, args=(i,)) for i in (0, 1)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert read == [[expected[t] for t in order] for order in orders]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_rule_index_is_built_with_the_table(self):
         vocab = letters("a", "b", "c")

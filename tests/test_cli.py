@@ -349,8 +349,15 @@ class TestDecodeMatchesReference:
             m = table.merges[t - base]
             return expand(m.left) + expand(m.right)
 
-        # Lookups in any order, repeats included, each against a fresh expansion.
-        order = data.draw(st.lists(st.integers(0, table.vocab_size - 1), max_size=20))
+        # Lookups in any order, repeats included, each against a fresh
+        # expansion. Some read a merged token's two halves just before it,
+        # so its own lookup joins two stored surfaces instead of walking.
+        order = []
+        lookups = st.tuples(st.integers(0, table.vocab_size - 1), st.booleans())
+        for t, halves_first in data.draw(st.lists(lookups, max_size=20)):
+            if halves_first and t >= base:
+                order += table.merges[t - base][1:3]
+            order.append(t)
         assert [table.token_surface(t) for t in order] == [expand(t) for t in order]
         assert set(table._expansions) == set(order)
         lengths = table._expansions.lengths

@@ -124,6 +124,20 @@ def test_decode_of_a_token_too_long_for_memory_names_its_line(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", fault)
 
 
+def test_decode_of_a_token_whose_stored_halves_do_not_fit_names_its_line(tmp_path):
+    # Lines 1-3 store tokens 24-26 (2^21-2^23 units), so token 27's halves
+    # are both stored and its surface is their two joined: with the surfaces
+    # and lines already held, that 2^24-unit join is what fails. Symbolic
+    # labels render without a new string per unit, so lines 1-3 fit.
+    (tmp_path / "doubling.bpe").write_text(DOUBLING, encoding="utf-8")
+    (tmp_path / "v.txt").write_text("a\n", encoding="utf-8")
+    (tmp_path / "t.txt").write_text("24\n25\n26\n27\n", encoding="utf-8")
+    argv = ["decode", "--input", "t.txt", "--merges", "doubling.bpe", "--format", "symbolic", "--vocab", "v.txt"]
+    proc = run_limited(tmp_path, "-m", "unitbpe", *argv)
+    fault = "unitbpe: error: line 4: token id 27 is too long to decode\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", fault)
+
+
 @pytest.mark.parametrize(
     "argv, fault",
     [

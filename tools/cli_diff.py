@@ -96,6 +96,9 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("decode-no-boundary", "decode --input n.tok --format symbolic --vocab n.vocab --merges n.bpe", None),
     # token 20 of a table whose lengths grow as Fibonacci numbers spells 4,181 units
     ("decode-fibonacci", "decode --input - --merges fibonacci.bpe", "fibonacci.tok"),
+    # lines that read a token's halves before the token, so its surface joins two stored ones
+    ("decode-doubling-halves-first", "decode --input - --merges doubling.bpe", "halves.tok"),
+    ("decode-fibonacci-halves-first", "decode --input - --merges fibonacci.bpe", "fibonacci-halves.tok"),
     # reports
     ("stats", "stats --input z.txt", None),
     ("stats-json", "stats --input z.txt --json", None),
@@ -225,11 +228,13 @@ FIXED = {
     + b"".join(b"%d %d %d %d\n" % (r, r + 3, r + 3, r + 4) for r in range(1, 40)),
     "zeros.txt": b"0 0 0\n",
     "huge.tok": b"43\n",
+    "halves.tok": b"13 14\n4 0 5\n",
     # From token 6 on, token k is token k - 1 then token k - 2; token k spells
     # F(k - 1) copies of unit 0.
     "fibonacci.bpe": b"unitbpe-v1\n4\n\n0 0 0 4\n1 4 0 5\n"
     + b"".join(b"%d %d %d %d\n" % (r, r + 3, r + 2, r + 4) for r in range(2, 62)),
     "fibonacci.tok": b"20\n",
+    "fibonacci-halves.tok": b"19 20 21\n",
     "fibonacci-huge.tok": b"63\n",
 }
 
