@@ -45,10 +45,9 @@ __version__ = "0.1.0"
 # Public names of the modules loaded on first use, by module.
 _LAZY = {
     "metrics": (
-        "AnalysisReport", "Distribution", "EditDistance", "RunLengthStats", "analyze",
-        "bit_increase", "compression", "corpus_run_length_mean", "edge_case_probability",
-        "edit_distance", "entropy", "error_rate", "normalized_entropy", "reduction",
-        "run_length_stats", "token_distribution",
+        "AnalysisReport", "Distribution", "EditDistance", "analyze", "bit_increase",
+        "compression", "corpus_run_length_mean", "edge_case_probability", "edit_distance",
+        "entropy", "error_rate", "normalized_entropy", "reduction", "token_distribution",
     ),
     "oracle": ("naive_encode", "naive_train", "pair_counts"),
     "synth": ("RunLengthSpec", "SplitMix64", "ZipfSpec", "gen_runlength_corpus", "gen_zipf_corpus"),

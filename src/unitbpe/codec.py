@@ -21,6 +21,8 @@ range-checks an id and builds its surface the first time it is seen.
 
 from __future__ import annotations
 
+import sys
+import threading
 from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,7 +58,10 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
     root. shorter maps each indexed token to the longest kept proper
     prefix, with its length. A call on n units first indexes the kept
     tokens whose length in the table's surface map is at most n, reading a
-    right half's units from that map. Nothing here is per base id.
+    right half's units from that map. Only one thread grows the index at a
+    time, under a lock; a call on no more units than the index already
+    covers reads it without the lock, so threads may encode through one
+    table. Nothing here is per base id.
     """
     base, size = table.base.size, table.vocab_size  # |Z|, the seam limit for two output tokens
     rules, shift = table.packed_rules
@@ -96,30 +101,42 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
     surfaces = table._expansions  # bound here, so the encoder the table caches holds no cycle
     length = surfaces.lengths
     trie: dict[int, int] = {}
+    get = trie.get
     shorter: dict[int, tuple[int, int]] = {}
     # Kept tokens not yet in the trie, longest first, so each pop is a
     # shortest one and its walk meets every shorter kept prefix. A new prefix
     # node's id, ~len(trie), is one no node has, since the trie only grows.
     pending = sorted(left, key=length.__getitem__, reverse=True)
+    lock = threading.Lock()
+    indexed = 0  # every kept token of at most this many units is in the trie
 
-    def encode_ids(ids: Sequence[int], get=trie.get, shift=shift, shorter=shorter, fits=fits, size=size):
+    def grow(n: int) -> None:
+        """Index the kept tokens of at most n units, one thread at a time;
+        ``indexed`` moves only once they are all in the trie."""
+        nonlocal indexed
+        with lock:
+            while pending and length[pending[-1]] <= n:
+                t = pending.pop()
+                node = a = left[t]
+                depth = length.get(a, 1)
+                best = (a, depth)
+                *middle, last = surfaces[right[t]]
+                for u in middle:
+                    key = node << shift | u
+                    node = get(key)
+                    if node is None:
+                        node = trie[key] = ~len(trie)
+                    depth += 1
+                    if node >= 0:
+                        best = (node, depth)
+                trie[node << shift | last] = t
+                shorter[t] = best
+            indexed = length[pending[-1]] - 1 if pending else sys.maxsize
+
+    def encode_ids(ids: Sequence[int], get=get, shift=shift, shorter=shorter, fits=fits, size=size):
         n = len(ids)
-        while pending and length[pending[-1]] <= n:  # no longer token can match
-            t = pending.pop()
-            node = a = left[t]
-            depth = length.get(a, 1)
-            best = (a, depth)
-            *middle, last = surfaces[right[t]]
-            for u in middle:
-                key = node << shift | u
-                node = get(key)
-                if node is None:
-                    node = trie[key] = ~len(trie)
-                depth += 1
-                if node >= 0:
-                    best = (node, depth)
-            trie[node << shift | last] = t
-            shorter[t] = best
+        if n > indexed:  # a longer token could match, so the index grows first
+            grow(n)
         # Backtracking search for the one tokenization into kept tokens whose
         # every adjacent pair passes the seam check: the rank-order encoding.
         # At each position it tries the longest kept token first, then each

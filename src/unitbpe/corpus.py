@@ -21,7 +21,7 @@ checked once, where it first appears. Rendering is one map per line.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import count, filterfalse
 from operator import attrgetter, eq
 from pathlib import Path
@@ -436,13 +436,14 @@ def load_corpus(
 
 
 def unit_label(vocabulary: BaseVocabulary, format: str) -> Callable[[int], str]:
-    """The function that renders one unit id of ``vocabulary`` in ``format``."""
+    """The function that renders one unit id of ``vocabulary`` in ``format``:
+    a new one per call, which renders all occurrences of an id as one string."""
     if format not in FORMATS:
         raise ContractError(f"unknown corpus format {format!r}")
     if format == FORMAT_DAU:
-        return str
+        return cache(str)
     if vocabulary.labels is None:
-        return vocabulary.surface
+        return cache(vocabulary.surface)
     return (vocabulary.labels + SPECIAL_LABELS).__getitem__
 
 

@@ -2,7 +2,7 @@
 
 Covers distribution balance (normalized entropy), sequence-length
 compression accounting, the accuracy/length trade-off probability,
-run-length structure, and edit-distance error rates. All entropies use
+mean run length, and edit-distance error rates. All entropies use
 base-2 logarithms with the 0*log(0)=0 convention, and the balance support
 is always the full vocabulary size, so unused tokens lower the score.
 """
@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import groupby
 from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
 from .bpe import MergeTable
 from .codec import encode_corpus
-from .corpus import Corpus, Record, UnitSequence
+from .corpus import Corpus, Record
 from .errors import ContractError
 
 
@@ -116,25 +115,6 @@ def edge_case_probability(eps: float, n: int) -> float:
     if eps == 1:
         return 0.0
     return math.exp(n * math.log1p(-eps))
-
-
-class RunLengthStats(Record):
-    """Maximal runs of identical units: the runs themselves as (unit,
-    length) pairs, their mean and max length, and the fraction of units
-    that merely repeat their predecessor. Empty input yields None for the
-    derived values."""
-
-    __slots__ = _fields = ("runs", "mean_run", "max_run", "repetition_fraction")
-
-
-def run_length_stats(seq: UnitSequence | Sequence[int]) -> RunLengthStats:
-    """Decompose a sequence into maximal runs of identical units."""
-    units = tuple(seq)
-    if not units:
-        return RunLengthStats((), None, None, None)
-    runs = tuple((uid, len(list(run))) for uid, run in groupby(units))
-    n = len(units)
-    return RunLengthStats(runs, n / len(runs), max(r[1] for r in runs), (n - len(runs)) / n)
 
 
 def corpus_run_length_mean(sequences: Iterable[Sequence[int]]) -> float | None:

@@ -22,14 +22,18 @@ from unitbpe import (
     TokenSequence,
     UnitBpeError,
     ValidationError,
+    analyze,
     dau_vocabulary,
     decode,
+    load_vocabulary,
+    parse_merge_table,
+    read_corpus,
     save_merge_table,
     save_vocabulary,
     symbolic_vocabulary,
 )
 from unitbpe.cli import build_parser, main
-from unitbpe.corpus import FORMATS, corpus_lines, parse_id_line
+from unitbpe.corpus import FORMATS, corpus_lines, parse_id_line, read_lines
 from tests.conftest import untrained_tables
 
 LAZY_MODULES = {"unitbpe.metrics", "unitbpe.oracle", "unitbpe.synth"}
@@ -434,6 +438,34 @@ token_vocab 8
         name, *flags = command.split()
         table = ["--merges", str(trained)] if name == "analyze" else []
         assert run(capsys, name, "--input", str(dau_corpus), *table, *flags) == (0, expected, "")
+
+    @pytest.mark.parametrize("rows", ["none", "one", "half", "all", "all-plus-5"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_analyze_reads_a_merge_file_prefix_as_the_shorter_table(self, capsys, tmp_path, fmt, rows):
+        # A merge file's first 3 + r lines are the table a run to |X| + r
+        # makes, so one training run serves a whole |Z| sweep (README,
+        # "Experiments"). The symbolic table's line 3 names the boundary.
+        rng = random.Random(5)
+        dau = [" ".join(str(rng.randint(0, 9)) for _ in range(rng.randint(5, 40))) for _ in range(40)]
+        text = symbolic_words() if fmt == "symbolic" else "".join(line + "\n" for line in dau)
+        corpus_path, merges, prefix = tmp_path / "c.txt", tmp_path / "m.bpe", tmp_path / "p.bpe"
+        corpus_path.write_text(text, encoding="utf-8")
+        vocab = ["--vocab", str(tmp_path / "v.txt")] if fmt == "symbolic" else []
+        argv = ["--input", str(corpus_path), "--format", fmt]
+        save = ["--save-vocab", vocab[1]] if vocab else []
+        assert run(capsys, "train", *argv, *save, "--target-size", "60", "--out", str(merges))[0] == 0
+        lines = read_lines(merges)
+        vocabulary = load_vocabulary(vocab[1], boundary_label=None) if vocab else None
+        table = parse_merge_table(lines, vocabulary)
+        assert (lines[2], len(table.merges) > 2) == ("_" if vocab else "", True)
+        corpus = read_corpus(text.splitlines(), fmt, table.base, boundary_label=None)
+        n = len(table.merges)
+        r = {"none": 0, "one": 1, "half": n // 2, "all": n, "all-plus-5": n + 5}[rows]
+        shorter = MergeTable(table.base, table.merges[:r])
+        assert parse_merge_table(lines[: 3 + r], vocabulary) == shorter
+        prefix.write_text("".join(line + "\n" for line in lines[: 3 + r]), encoding="utf-8")
+        expected = "".join(f"{k} {v}\n" for k, v in analyze(corpus, shorter)._asdict().items())
+        assert run(capsys, "analyze", *argv, *vocab, "--merges", str(prefix)) == (0, expected, "")
 
     def test_stats(self, capsys, dau_corpus):
         code, out, _ = run(capsys, "stats", "--input", str(dau_corpus), "--json")

@@ -1,6 +1,8 @@
 """Encoding, decoding, and the lossless round-trip guarantee."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,16 @@ from unitbpe import (
     Corpus,
     Merge,
     MergeTable,
+    SplitMix64,
     TokenSequence,
     TrainOptions,
     UnitSequence,
     ValidationError,
+    ZipfSpec,
     decode,
     encode,
     encode_corpus,
+    gen_zipf_corpus,
     naive_encode,
     read_corpus,
     symbolic_vocabulary,
@@ -77,6 +82,39 @@ class TestEncode:
         (rule,) = table.merges
         assert (rule.left, rule.right) == (0, 1)
         assert encoded.tokens == (rule.result, b, rule.result)
+
+    def test_threads_sharing_a_fresh_table_each_encode_as_one_thread_does(self):
+        # The utterance-stream benchmark's shape: utterances of 8-200 units
+        # under a 4096-token table trained on 10^5 Zipf units. Two threads
+        # encode them in opposite orders, so while one grows the index to a
+        # long utterance the other encodes short ones through it.
+        table = train(gen_zipf_corpus(ZipfSpec(711, 84, 100, 1000, 1.1)), TrainOptions(target_size=4096))
+        rng = SplitMix64(713)
+        draws = gen_zipf_corpus(ZipfSpec(712, 84, 200, 200, 1.1)).sequences
+        utterances = [UnitSequence(s.units[: 8 + rng.randint_below(193)]) for s in draws]
+        expected = [encode(u, table) for u in utterances]
+        orders = [utterances, utterances[::-1]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                fresh = MergeTable(table.base, table.merges)
+                start = threading.Barrier(2)
+                got = [None, None]
+
+                def encode_all(i):
+                    start.wait(timeout=10)
+                    got[i] = [encode(u, fresh) for u in orders[i]]
+
+                threads = [threading.Thread(target=encode_all, args=(i,)) for i in (0, 1)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert got == [expected, expected[::-1]]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDecode:

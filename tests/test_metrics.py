@@ -24,7 +24,6 @@ from unitbpe import (
     normalized_entropy,
     read_corpus,
     reduction,
-    run_length_stats,
     token_distribution,
     train,
 )
@@ -165,36 +164,6 @@ class TestEdgeCaseProbability:
 
 
 class TestRunLengths:
-    def test_hand_enumeration(self):
-        stats = run_length_stats((7, 7, 7, 8, 8, 9))
-        assert stats.runs == ((7, 3), (8, 2), (9, 1))
-        assert stats.mean_run == 2.0
-        assert stats.max_run == 3
-        assert stats.repetition_fraction == pytest.approx(0.5)
-
-    def test_all_distinct(self):
-        stats = run_length_stats((1, 2, 3, 4))
-        assert stats.mean_run == 1.0
-        assert stats.repetition_fraction == 0.0
-
-    def test_repetition_heavy_shape(self):
-        # runs of 3, 4, 5, 2 over four units
-        seq = (0,) * 3 + (1,) * 4 + (2,) * 5 + (3,) * 2
-        stats = run_length_stats(seq)
-        assert [length for _, length in stats.runs] == [3, 4, 5, 2]
-        assert stats.max_run == 5
-
-    def test_empty_sequence(self):
-        stats = run_length_stats(())
-        assert stats.runs == ()
-        assert stats.mean_run is None
-
-    @settings(max_examples=100)
-    @given(st.lists(st.integers(0, 5), max_size=40))
-    def test_run_lengths_partition_the_sequence(self, seq):
-        stats = run_length_stats(seq)
-        assert sum(length for _, length in stats.runs) == len(seq)
-
     def test_pooled_mean_over_sequences(self):
         assert corpus_run_length_mean([(1, 1), (2, 2, 3)]) == pytest.approx(5 / 3)
         assert corpus_run_length_mean([()]) is None

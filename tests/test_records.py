@@ -36,9 +36,6 @@ RECORDS = {
         {"sequences": (TokenSequence((5, 0)),), "total_units": 3, "total_tokens": 2}, {}, {"total_tokens": 3}
     ),
     "Distribution": ({"mass": {0: 0.5, 1: 0.5}, "support_size": 5}, {}, {"support_size": 6}),
-    "RunLengthStats": (
-        {"runs": ((0, 1), (1, 2)), "mean_run": 1.5, "max_run": 2, "repetition_fraction": 1 / 3}, {}, {"max_run": 3}
-    ),
     "AnalysisReport": (REPORT, {}, {"token_vocab": 7}),
     "ZipfSpec": (
         {"seed": 1, "vocab_size": 4, "num_sequences": 2, "mean_length": 3, "exponent": 1.0}, {}, {"seed": 2}

@@ -88,8 +88,11 @@ FIBONACCI = "unitbpe-v1\n4\n\n0 0 0 4\n1 4 0 5\n" + "".join(f"{r} {r + 3} {r + 2
         (DOUBLING, "13\n", " ".join(["0"] * 2**10) + "\n"),
         (DOUBLING, "0 13 0\n8\n", " ".join(["0"] * (2**10 + 2)) + "\n" + " ".join(["0"] * 2**5) + "\n"),
         (FIBONACCI, "31\n", " ".join(["0"] * 832_040) + "\n"),
+        # Every unit of the rendered token shares one string, so its 2^22
+        # units cost 8 bytes each on top of the surface's 8.
+        (DOUBLING, "25\n", " ".join(["0"] * 2**22) + "\n"),
     ],
-    ids=["base-id", "2^10-unit-token", "lines", "fibonacci-832040-unit-token"],
+    ids=["base-id", "2^10-unit-token", "lines", "fibonacci-832040-unit-token", "2^22-unit-token"],
 )
 def test_decode_stores_only_the_surfaces_it_reads(tmp_path, table, tokens, out):
     (tmp_path / "m.bpe").write_text(table, encoding="utf-8")

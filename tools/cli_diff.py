@@ -112,6 +112,10 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("analyze-json-out", "analyze --input z.txt --merges z.bpe --json --out r.json", None),
     ("analyze-symbolic", "analyze --input s.txt --format symbolic --vocab s.vocab --merges s.bpe --json", None),
     ("analyze-doubling", "analyze --input zeros.txt --merges doubling.bpe", None),
+    # the first 3 + r lines of a merge file, as a |Z| sweep reads them with head
+    ("analyze-prefix", "analyze --input z.txt --merges z-prefix.bpe", None),
+    ("analyze-prefix-symbolic", "analyze --input s.txt --format symbolic --vocab s.vocab --merges s-prefix.bpe",
+     None),
     ("tradeoff", "tradeoff --eps 0.00097 0.0014 --n 300 872", None),
     ("tradeoff-json", "tradeoff --eps 0.1 0.2 --n 1 2 --json", None),
     ("tradeoff-out", "tradeoff --eps 0.01 --n 50 --out r.txt", None),
@@ -239,7 +243,9 @@ FIXED = {
 }
 
 # CLI runs, against this tree, that write the tables, sidecars and token
-# files the cases read.
+# files the cases read; write_inputs then cuts each of z.bpe and s.bpe to its
+# header and first PREFIX_ROWS rows.
+PREFIX_ROWS = 20
 SETUP = (
     "train --input z.txt --target-size 120 --out z.bpe",
     "encode --input z.txt --merges z.bpe --out z.tok",
@@ -309,6 +315,9 @@ def write_inputs(src: Path, directory: Path) -> Path:
         result = run_case(src, directory, argv, None)
         if result.code != 0:
             raise RuntimeError(f"setup {argv!r} exited {result.code}: {result.stderr.decode(errors='replace')}")
+    for name in ("z", "s"):
+        table = (directory / f"{name}.bpe").read_bytes()
+        (directory / f"{name}-prefix.bpe").write_bytes(b"".join(table.splitlines(keepends=True)[: 3 + PREFIX_ROWS]))
     return directory
 
 
