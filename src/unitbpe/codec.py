@@ -14,6 +14,13 @@ grows to the longest input encoded so far by the token lengths the table
 holds, and the search over it; ``MergeTable._encoder`` caches them on the
 first encode, so a table that only decodes never builds them.
 
+Each seam check is bounded by a floor read from the table: the oldest rule
+whose junction, its left half's last unit and its right half's first unit,
+is the two units on either side of the seam. Any rule the check can find
+firing joins a suffix of the left token to a prefix of the right one, so it
+has that junction and a result at or above the floor; the check stops as
+soon as its limit is at or below it, and a seam no rule joins needs no walk.
+
 Decoding concatenates token surfaces, which makes the round trip lossless
 by construction: each id is one lookup in the table's surface map, which
 range-checks an id and builds its surface the first time it is seen.
@@ -52,51 +59,74 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
     """The table's encoder, a function from base unit ids to token ids,
     with its index over the kept tokens: those whose surface encodes to
     themselves. Every base id is kept; a merged token is kept when both
-    halves are and their seam holds below it. The trie holds kept surfaces
-    only: it maps node << shift | unit to a child, which is a kept token or
-    a negative id for a prefix that is none, and each base id is its own
-    root. shorter maps each indexed token to the longest kept proper
-    prefix, with its length. A call on n units first indexes the kept
-    tokens whose length in the table's surface map is at most n, reading a
-    right half's units from that map. Only one thread grows the index at a
-    time, under a lock; a call on no more units than the index already
-    covers reads it without the lock, so threads may encode through one
-    table. Nothing here is per base id.
+    halves are and their seam holds below it. The same pass in rank order
+    records each merged token's first and last base unit, and for each
+    junction ``last << shift | first`` of a rule's halves the oldest rule
+    with it: the floor of every seam check across those two units. The trie
+    holds kept surfaces only: it maps node << shift | unit to a child, which
+    is a kept token or a negative id for a prefix that is none, and each
+    base id is its own root. shorter maps each indexed token to the longest
+    kept proper prefix, with its length. A call on n units first indexes
+    the kept tokens whose length in the table's surface map is at most n,
+    reading a right half's units from that map. Only one thread grows the
+    index at a time, under a lock; a call on no more units than the index
+    already covers reads it without the lock, and the floors are read-only
+    after the build, so threads may encode through one table. Nothing here
+    is per base id: the floors hold at most one entry per merge.
     """
     base, size = table.base.size, table.vocab_size  # |Z|, the seam limit for two output tokens
     rules, shift = table.packed_rules
     rule = rules.get
     left: dict[int, int] = {}
     right: dict[int, int] = {}
+    junctions: dict[int, int] = {}
+    oldest = junctions.get
 
-    def fits(t1: int, t2: int, limit: int) -> bool:
+    def fits(t1: int, t2: int, limit: int, low: int) -> bool:
         """The seam check over kept tokens split by ``left`` and ``right``.
 
-        ``fits(t1, t2, limit)`` tells whether encoding the two surfaces
+        ``fits(t1, t2, limit, low)`` tells whether encoding the two surfaces
         together reaches the pair ``(t1, t2)`` before any rule across the
         seam with a result below ``limit`` fires. Each step undoes the merge
         made last: the larger id, or the right one of two equal ids, because
         the leftmost occurrence of a rule applies first. For that reason a
         seam rule equal to a right-hand token still fires before it, and one
-        equal to a left-hand token does not. With ``limit`` the vocabulary
-        size, it holds exactly when the two surfaces encode to ``t1 t2``.
+        equal to a left-hand token does not. ``low`` is the floor: no rule
+        at the seam's junction is older, so once the limit, which only
+        falls, is at or below it, no rule the walk could meet fires. A base
+        id is below every floor, which ends the walk at the base units. With
+        ``limit`` the vocabulary size, it holds exactly when the two
+        surfaces encode to ``t1 t2``.
         """
-        while True:
+        while limit > low:
             if rule(t1 << shift | t2, limit) < limit:
                 return False
             if t1 > t2:
-                if t1 < base:
-                    return True
                 limit = t1
-                t1 = right[t1]
+                if t1 > low:
+                    t1 = right[t1]
             else:
-                if t2 < base:
-                    return True
                 limit = t2 + 1
-                t2 = left[t2]
+                if t2 >= low:
+                    t2 = left[t2]
+        return True
 
+    first: list[int] = []  # each merged token's first and last base unit, by rank
+    last: list[int] = []
     for _, a, b, t in table.merges:
-        if (a < base or a in left) and (b < base or b in left) and fits(a, b, t):
+        if a < base:
+            a_first = a_last = a
+        else:
+            a_first, a_last = first[a - base], last[a - base]
+        if b < base:
+            b_first = b_last = b
+        else:
+            b_first, b_last = first[b - base], last[b - base]
+        first.append(a_first)
+        last.append(b_last)
+        # Rules come in rank order, so the first one at a junction is its oldest.
+        low = junctions.setdefault(a_last << shift | b_first, t)
+        if (a < base or a in left) and (b < base or b in left) and fits(a, b, t, low):
             left[t], right[t] = a, b
     surfaces = table._expansions  # bound here, so the encoder the table caches holds no cycle
     length = surfaces.lengths
@@ -133,7 +163,10 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
                 shorter[t] = best
             indexed = length[pending[-1]] - 1 if pending else sys.maxsize
 
-    def encode_ids(ids: Sequence[int], get=get, shift=shift, shorter=shorter, fits=fits, size=size):
+    def encode_ids(
+        ids: Sequence[int], get=get, shift=shift, shorter=shorter, rule=rule, left=left, right=right,
+        oldest=oldest, size=size,
+    ):
         n = len(ids)
         if n > indexed:  # a longer token could match, so the index grows first
             grow(n)
@@ -143,8 +176,10 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
         # shorter kept prefix. The tokens before a position are always the one
         # such tokenization of the text before it, so a position where no
         # candidate is left is dead for good: it is marked, the previous token
-        # is popped and its shorter prefixes are tried. The index is bound as
-        # defaults, so the hot loop reads it from locals.
+        # is popped and its shorter prefixes are tried. A position's floor is
+        # read once and kept across its shorter prefixes; the first position
+        # has no seam, so its floor is size and every candidate passes. The
+        # index is bound as defaults, so the hot loop reads it from locals.
         tokens: list[int] = []
         starts: list[int] = []
         dead = bytearray(n + 1)
@@ -160,13 +195,29 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
                 i += 1
                 if node >= 0:
                     t, end = node, i
+            low = oldest(ids[pos - 1] << shift | ids[pos], size) if pos else size
             while True:
-                if not dead[end] and (prev < 0 or fits(prev, t, size)):
-                    tokens.append(t)
-                    starts.append(pos)
-                    prev = t
-                    pos = end
-                    break
+                if not dead[end]:
+                    # fits(prev, t, size, low), inlined: a call per check costs
+                    # about half of what the floor saves.
+                    t1, t2, limit = prev, t, size
+                    while limit > low:
+                        if rule(t1 << shift | t2, limit) < limit:
+                            break
+                        if t1 > t2:
+                            limit = t1
+                            if t1 > low:
+                                t1 = right[t1]
+                        else:
+                            limit = t2 + 1
+                            if t2 >= low:
+                                t2 = left[t2]
+                    else:
+                        tokens.append(t)
+                        starts.append(pos)
+                        prev = t
+                        pos = end
+                        break
                 prefix = shorter.get(t)
                 if prefix is not None:
                     t, k = prefix
@@ -177,6 +228,7 @@ def _build_encoder(table: MergeTable) -> Callable[[Sequence[int]], list[int]]:
                     t = tokens.pop()
                     pos = starts.pop()
                     prev = tokens[-1] if tokens else -1
+                    low = oldest(ids[pos - 1] << shift | ids[pos], size) if pos else size
         return tokens
 
     return encode_ids

@@ -64,6 +64,20 @@ class TestEncode:
         table = MergeTable(vocab, (Merge(0, 1, 2, n), Merge(1, 0, 1, n + 1)))
         assert encode(UnitSequence((0, 1, 2)), table).tokens == (0, n)
 
+    def test_seam_floor_is_the_oldest_rule_at_its_junction(self):
+        # X = b c and V = Y W = (a b)(c a) both join a unit b to a unit c, so
+        # the junction's floor is X, the older. Across the seam of Y and c
+        # only X fires: a b c encodes to a X, where a floor of V would
+        # stop the seam check above X and accept Y c.
+        vocab = symbolic_vocabulary(["a", "b", "c"], boundary_label=None)
+        a, b, c, n = 0, 1, 2, len(vocab)
+        x, y, w, v = n, n + 1, n + 2, n + 3
+        table = MergeTable(vocab, (Merge(0, b, c, x), Merge(1, a, b, y), Merge(2, c, a, w), Merge(3, y, w, v)))
+        assert encode(UnitSequence((a, b, c)), table).tokens == (a, x)
+        for units in ((a, b, c), (a, b, c, a), (c, a, b, c, a), (a, b, a, b, c, c, a)):
+            seq = UnitSequence(units)
+            assert encode(seq, table) == naive_encode(seq, table)
+
     def test_invalid_unit_id_rejected(self):
         table = table_ab()
         with pytest.raises(ValidationError):

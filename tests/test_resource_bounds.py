@@ -47,6 +47,10 @@ def files(tmp_path):
     (tmp_path / "small.txt").write_text("1 2\n", encoding="utf-8")
     (tmp_path / "big.bpe").write_text(f"unitbpe-v1\n{BIG}\n\n", encoding="utf-8")
     (tmp_path / "merged.bpe").write_text(f"unitbpe-v1\n{HUGE}\n\n0 1 2 {HUGE}\n", encoding="utf-8")
+    # Rules 0 and 2 both join unit 2 to unit 3; 1 2 3 encodes to 1 and rule 0.
+    rules = f"0 2 3 {HUGE}\n1 1 2 {HUGE + 1}\n2 {HUGE + 1} 3 {HUGE + 2}\n"
+    (tmp_path / "junction.bpe").write_text(f"unitbpe-v1\n{HUGE}\n\n{rules}", encoding="utf-8")
+    (tmp_path / "seam.txt").write_text("1 2 3\n", encoding="utf-8")
     return tmp_path
 
 
@@ -58,12 +62,17 @@ def files(tmp_path):
         ("encode --input small.txt --merges big.bpe", "1 2\n"),
         # The encoder's index holds the merged tokens only, none of the base.
         ("encode --input small.txt --merges merged.bpe", f"{HUGE}\n"),
+        # The seam floors hold one entry per junction of a rule, none per base id.
+        ("encode --input seam.txt --merges junction.bpe", f"1 {HUGE}\n"),
         ("decode --input small.txt --merges big.bpe", "1 2\n"),
         ("decode --input small.txt --merges big.bpe --format symbolic", "1 2\n"),
         ("encode --input small.txt --merges big.bpe --format symbolic", "1 2\n"),
         ("analyze --input small.txt --merges big.bpe --json", "{\n"),
     ],
-    ids=["stats", "train", "encode", "encode-merged", "decode", "decode-symbolic", "encode-symbolic", "analyze"],
+    ids=[
+        "stats", "train", "encode", "encode-merged", "encode-shared-junction", "decode", "decode-symbolic",
+        "encode-symbolic", "analyze",
+    ],
 )
 def test_large_id_costs_what_a_small_one_does(files, argv, out):
     proc = run_limited(files, "-m", "unitbpe", *argv.split())

@@ -87,6 +87,8 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     # repeated lines, an empty one and a one-unit one through a boundary-free table
     ("encode-repeated", "encode --input repeated.txt --merges z.bpe", None),
     ("encode-repeated-oracle", "encode --input repeated.txt --merges z.bpe --oracle", None),
+    # two rules join unit 1 to unit 2: 6 = 1 2 and the newer 9 = (0 1)(2 0)
+    ("encode-shared-junction", "encode --input junction.txt --merges junction.bpe", None),
     # decode
     ("decode", "decode --input z.tok --merges z.bpe --out back.txt", None),
     ("decode-stdin", "decode --input - --merges z.bpe", "z.tok"),
@@ -111,6 +113,7 @@ CASES: tuple[tuple[str, str, str | None], ...] = (
     ("analyze-out", "analyze --input z.txt --merges z.bpe --out r.txt", None),
     ("analyze-json-out", "analyze --input z.txt --merges z.bpe --json --out r.json", None),
     ("analyze-symbolic", "analyze --input s.txt --format symbolic --vocab s.vocab --merges s.bpe --json", None),
+    ("analyze-shared-junction", "analyze --input junction.txt --merges junction.bpe", None),
     ("analyze-doubling", "analyze --input zeros.txt --merges doubling.bpe", None),
     # the first 3 + r lines of a merge file, as a |Z| sweep reads them with head
     ("analyze-prefix", "analyze --input z.txt --merges z-prefix.bpe", None),
@@ -230,7 +233,9 @@ FIXED = {
     # Token 4 + k spells 2^(k + 1) copies of unit 0.
     "doubling.bpe": b"unitbpe-v1\n4\n\n0 0 0 4\n"
     + b"".join(b"%d %d %d %d\n" % (r, r + 3, r + 3, r + 4) for r in range(1, 40)),
-    "zeros.txt": b"0 0 0\n",
+    # 6 = 1 2, 7 = 0 1, 8 = 2 0 and 9 = 7 8: rules 6 and 9 share the junction of units 1 and 2.
+    "junction.bpe": b"unitbpe-v1\n6\n\n0 1 2 6\n1 0 1 7\n2 2 0 8\n3 7 8 9\n",
+    "junction.txt": b"0 1 2\n0 1 2 0\n2 0 1 2 0\n0 1 0 1 2 2 0\n0 1 2 0 1 2 0\n",
     "huge.tok": b"43\n",
     "halves.tok": b"13 14\n4 0 5\n",
     # From token 6 on, token k is token k - 1 then token k - 2; token k spells
