@@ -233,6 +233,7 @@ FIXED = {
     # Token 4 + k spells 2^(k + 1) copies of unit 0.
     "doubling.bpe": b"unitbpe-v1\n4\n\n0 0 0 4\n"
     + b"".join(b"%d %d %d %d\n" % (r, r + 3, r + 3, r + 4) for r in range(1, 40)),
+    "zeros.txt": b"0 0 0\n",
     # 6 = 1 2, 7 = 0 1, 8 = 2 0 and 9 = 7 8: rules 6 and 9 share the junction of units 1 and 2.
     "junction.bpe": b"unitbpe-v1\n6\n\n0 1 2 6\n1 0 1 7\n2 2 0 8\n3 7 8 9\n",
     "junction.txt": b"0 1 2\n0 1 2 0\n2 0 1 2 0\n0 1 0 1 2 2 0\n0 1 2 0 1 2 0\n",
